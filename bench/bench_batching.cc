@@ -39,21 +39,6 @@ rowFor(const ScenarioResult& result, const std::string& needle)
           "'");
 }
 
-bool
-sameMetrics(const Metrics& a, const Metrics& b)
-{
-    return a.antt == b.antt && a.violationRate == b.violationRate &&
-           a.sloMissRate == b.sloMissRate &&
-           a.p99Latency == b.p99Latency && a.goodput == b.goodput &&
-           a.completed == b.completed && a.shed == b.shed &&
-           a.makespan == b.makespan &&
-           a.batching.formed == b.batching.formed &&
-           a.batching.joins == b.batching.joins &&
-           a.batching.steps == b.batching.steps &&
-           a.batching.meanOccupancy == b.batching.meanOccupancy &&
-           a.batching.stragglerTaxSec == b.batching.stragglerTaxSec;
-}
-
 } // namespace
 
 int

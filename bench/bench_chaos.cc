@@ -33,31 +33,6 @@ onlyRow(const ScenarioResult& result)
     return result.rows[0].metrics;
 }
 
-/** In-deadline completions per second of makespan. */
-double
-sloGoodput(const Metrics& m)
-{
-    if (m.makespan <= 0.0)
-        return 0.0;
-    double attained = static_cast<double>(m.completed) *
-                      (1.0 - m.violationRate);
-    return attained / m.makespan;
-}
-
-bool
-sameMetrics(const Metrics& a, const Metrics& b)
-{
-    return a.antt == b.antt && a.violationRate == b.violationRate &&
-           a.sloMissRate == b.sloMissRate &&
-           a.p99Latency == b.p99Latency &&
-           a.completed == b.completed && a.shed == b.shed &&
-           a.makespan == b.makespan &&
-           a.resilience.availability == b.resilience.availability &&
-           a.resilience.retries == b.resilience.retries &&
-           a.resilience.hedgeWins == b.resilience.hedgeWins &&
-           a.resilience.brownoutSheds == b.resilience.brownoutSheds;
-}
-
 } // namespace
 
 int
@@ -123,8 +98,8 @@ main(int argc, char** argv)
     const Metrics& m_full = onlyRow(full);
 
     bool deterministic = sameMetrics(m_full, onlyRow(full_repeat));
-    double goodput_bare = sloGoodput(m_bare);
-    double goodput_full = sloGoodput(m_full);
+    double goodput_bare = m_bare.goodput;
+    double goodput_full = m_full.goodput;
     bool faults_bite = m_full.resilience.availability < 1.0 &&
                        m_bare.resilience.availability < 1.0;
     bool retries_fire = m_full.resilience.retries > 0.0;
@@ -141,7 +116,7 @@ main(int argc, char** argv)
         args.getString("--chaos").c_str(),
         m_full.resilience.availability * 100.0,
         m_full.resilience.mttr, goodput_bare, goodput_full,
-        stack_holds ? "holds" : "REGRESSION", sloGoodput(m_off),
+        stack_holds ? "holds" : "REGRESSION", m_off.goodput,
         m_full.resilience.retries,
         m_full.resilience.hedgeWinRate * 100.0,
         deterministic ? "bit-identical" : "NOT reproducible");
@@ -157,7 +132,7 @@ main(int argc, char** argv)
                   m_full.resilience.retryAmplification);
     report.scalar("hedge_win_rate", m_full.resilience.hedgeWinRate);
     report.scalar("brownout_sheds", m_full.resilience.brownoutSheds);
-    report.scalar("goodput_healthy", sloGoodput(m_off));
+    report.scalar("goodput_healthy", m_off.goodput);
     report.scalar("goodput_noretry", goodput_bare);
     report.scalar("goodput_resilient", goodput_full);
     report.scalar("goodput_gain",

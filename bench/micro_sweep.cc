@@ -31,21 +31,6 @@ secondsSince(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
-bool
-sameMetrics(const Metrics& a, const Metrics& b)
-{
-    return a.antt == b.antt && a.violationRate == b.violationRate &&
-           a.throughput == b.throughput && a.stp == b.stp &&
-           a.p50Turnaround == b.p50Turnaround &&
-           a.p95Turnaround == b.p95Turnaround &&
-           a.p99Turnaround == b.p99Turnaround &&
-           a.p50Latency == b.p50Latency &&
-           a.p95Latency == b.p95Latency &&
-           a.p99Latency == b.p99Latency &&
-           a.completed == b.completed && a.shed == b.shed &&
-           a.makespan == b.makespan;
-}
-
 } // namespace
 
 int

@@ -84,6 +84,30 @@ Reporter::add(const ScenarioResult& result)
 
 namespace {
 
+/** A field's value in full: an integer for counts, else shortest
+ * round-trip. */
+std::string
+exactText(const MetricField& f, const Metrics& m)
+{
+    double v = f.get(m);
+    return f.kind == MetricField::Kind::Count
+               ? std::to_string(static_cast<uint64_t>(v))
+               : jsonNumber(v);
+}
+
+void
+writeFields(JsonWriter& json, const Metrics& m, MetricGroup group)
+{
+    for (const MetricField& f : metricFields()) {
+        if (f.group != group)
+            continue;
+        if (f.kind == MetricField::Kind::Count)
+            json.field(f.json, static_cast<uint64_t>(f.get(m)));
+        else
+            json.field(f.json, f.get(m));
+    }
+}
+
 void
 writeRow(JsonWriter& json, const ScenarioRow& row)
 {
@@ -104,21 +128,7 @@ writeRow(JsonWriter& json, const ScenarioRow& row)
         json.field("batcher", row.batcher);
     json.field("scheduler", row.scheduler);
     const Metrics& m = row.metrics;
-    json.field("antt", m.antt);
-    json.field("violation_rate", m.violationRate);
-    json.field("slo_miss_rate", m.sloMissRate);
-    json.field("throughput", m.throughput);
-    json.field("goodput", m.goodput);
-    json.field("stp", m.stp);
-    json.field("p50_turnaround", m.p50Turnaround);
-    json.field("p95_turnaround", m.p95Turnaround);
-    json.field("p99_turnaround", m.p99Turnaround);
-    json.field("p50_latency", m.p50Latency);
-    json.field("p95_latency", m.p95Latency);
-    json.field("p99_latency", m.p99Latency);
-    json.field("completed", static_cast<uint64_t>(m.completed));
-    json.field("shed", static_cast<uint64_t>(m.shed));
-    json.field("makespan", m.makespan);
+    writeFields(json, m, MetricGroup::Core);
     json.field("decisions", row.decisions);
     json.field("preemptions", row.preemptions);
     if (!m.estimators.empty()) {
@@ -139,21 +149,11 @@ writeRow(JsonWriter& json, const ScenarioRow& row)
     // Resilience block only when a chaos-engine mechanism ran
     // (fault injection, retries, hedging, brown-out or tiers).
     if (m.resilience.active) {
-        const ResilienceStats& res = m.resilience;
         json.beginObject("resilience");
-        json.field("availability", res.availability);
-        json.field("mttr", res.mttr);
-        json.field("failures", res.failures);
-        json.field("timeouts", res.timeouts);
-        json.field("retries", res.retries);
-        json.field("retry_amplification", res.retryAmplification);
-        json.field("hedges", res.hedges);
-        json.field("hedge_wins", res.hedgeWins);
-        json.field("hedge_win_rate", res.hedgeWinRate);
-        json.field("brownout_sheds", res.brownoutSheds);
-        if (!res.tiers.empty()) {
+        writeFields(json, m, MetricGroup::Resilience);
+        if (!m.resilience.tiers.empty()) {
             json.beginArray("tiers");
-            for (const TierStats& tier : res.tiers) {
+            for (const TierStats& tier : m.resilience.tiers) {
                 json.beginObject();
                 json.field("completed", tier.completed);
                 json.field("violations", tier.violations);
@@ -167,14 +167,8 @@ writeRow(JsonWriter& json, const ScenarioRow& row)
     }
     // Batching block only when batch formation ran.
     if (m.batching.active) {
-        const BatchStats& bat = m.batching;
         json.beginObject("batching");
-        json.field("formed", bat.formed);
-        json.field("joins", bat.joins);
-        json.field("steps", bat.steps);
-        json.field("mean_occupancy", bat.meanOccupancy);
-        json.field("mean_fill_wait", bat.meanFillWaitSec);
-        json.field("straggler_tax", bat.stragglerTaxSec);
+        writeFields(json, m, MetricGroup::Batching);
         json.endObject();
     }
     json.endObject();
@@ -283,37 +277,33 @@ Reporter::writeCsv(const std::string& path) const
         }
     }
 
+    // Core metric columns, then the row counters, then the columns
+    // of every group some row reports.
+    std::vector<const MetricField*> core;
+    std::vector<const MetricField*> extra;
+    for (const MetricField& f : metricFields()) {
+        if (f.group == MetricGroup::Core)
+            core.push_back(&f);
+        else if ((f.group == MetricGroup::Resilience &&
+                  any_resilience) ||
+                 (f.group == MetricGroup::Batching && any_batch))
+            extra.push_back(&f);
+    }
+
     CsvWriter csv(path);
     std::vector<std::string> header = {
-        "scenario",       "workload",       "arrival",
-        "slo",            "fleet",          "dispatcher",
-        "admission_margin", "steal_ratio",
-        "scheduler",      "antt",           "violation_rate",
-        "slo_miss_rate",  "throughput",     "goodput",
-        "stp",
-        "p50_turnaround", "p95_turnaround", "p99_turnaround",
-        "p50_latency",    "p95_latency",    "p99_latency",
-        "completed",      "shed",           "makespan",
-        "decisions",      "preemptions",
-    };
-    if (any_resilience) {
-        header.insert(header.begin() + 8, "chaos");
-        header.insert(header.end(),
-                      {"availability", "mttr", "failures",
-                       "timeouts", "retries", "retry_amplification",
-                       "hedges", "hedge_wins", "hedge_win_rate",
-                       "brownout_sheds"});
-    }
-    if (any_batch) {
-        // After steal_ratio (and chaos when present), before
-        // scheduler — the same slot the JSON rows use.
-        header.insert(header.begin() + (any_resilience ? 9 : 8),
-                      "batcher");
-        header.insert(header.end(),
-                      {"batch_formed", "batch_joins", "batch_steps",
-                       "batch_occupancy", "batch_fill_wait",
-                       "batch_straggler_tax"});
-    }
+        "scenario", "workload", "arrival", "slo", "fleet", "dispatcher",
+        "admission_margin", "steal_ratio"};
+    if (any_resilience)
+        header.push_back("chaos");
+    if (any_batch)
+        header.push_back("batcher");
+    header.push_back("scheduler");
+    for (const MetricField* f : core)
+        header.push_back(f->csv);
+    header.insert(header.end(), {"decisions", "preemptions"});
+    for (const MetricField* f : extra)
+        header.push_back(f->csv);
     for (const std::string& name : probes) {
         header.push_back("est_" + name + "_bias");
         header.push_back("est_" + name + "_rmse");
@@ -332,70 +322,21 @@ Reporter::writeCsv(const std::string& path) const
                 row.dispatcher,
                 jsonNumber(row.admissionMargin),
                 jsonNumber(row.stealRatio),
-                row.scheduler,
-                jsonNumber(m.antt),
             };
             if (any_resilience)
-                cells.insert(cells.begin() + 8, row.chaos);
+                cells.push_back(row.chaos);
             if (any_batch)
-                cells.insert(cells.begin() +
-                                 (any_resilience ? 9 : 8),
-                             row.batcher);
-            std::vector<std::string> tail = {
-                jsonNumber(m.violationRate),
-                jsonNumber(m.sloMissRate),
-                jsonNumber(m.throughput),
-                jsonNumber(m.goodput),
-                jsonNumber(m.stp),
-                jsonNumber(m.p50Turnaround),
-                jsonNumber(m.p95Turnaround),
-                jsonNumber(m.p99Turnaround),
-                jsonNumber(m.p50Latency),
-                jsonNumber(m.p95Latency),
-                jsonNumber(m.p99Latency),
-                std::to_string(m.completed),
-                std::to_string(m.shed),
-                jsonNumber(m.makespan),
-                jsonNumber(row.decisions),
-                jsonNumber(row.preemptions),
-            };
-            cells.insert(cells.end(), tail.begin(), tail.end());
-            if (any_resilience) {
-                const ResilienceStats& res = m.resilience;
-                // Rows of a chaos-free scenario sharing the file
-                // leave the resilience columns empty.
-                std::vector<std::string> extra(10, "");
-                if (res.active) {
-                    extra = {jsonNumber(res.availability),
-                             jsonNumber(res.mttr),
-                             jsonNumber(res.failures),
-                             jsonNumber(res.timeouts),
-                             jsonNumber(res.retries),
-                             jsonNumber(res.retryAmplification),
-                             jsonNumber(res.hedges),
-                             jsonNumber(res.hedgeWins),
-                             jsonNumber(res.hedgeWinRate),
-                             jsonNumber(res.brownoutSheds)};
-                }
-                cells.insert(cells.end(), extra.begin(),
-                             extra.end());
-            }
-            if (any_batch) {
-                const BatchStats& bat = m.batching;
-                // Unbatched rows sharing the file leave the batch
-                // columns empty.
-                std::vector<std::string> extra(6, "");
-                if (bat.active) {
-                    extra = {jsonNumber(bat.formed),
-                             jsonNumber(bat.joins),
-                             jsonNumber(bat.steps),
-                             jsonNumber(bat.meanOccupancy),
-                             jsonNumber(bat.meanFillWaitSec),
-                             jsonNumber(bat.stragglerTaxSec)};
-                }
-                cells.insert(cells.end(), extra.begin(),
-                             extra.end());
-            }
+                cells.push_back(row.batcher);
+            cells.push_back(row.scheduler);
+            for (const MetricField* f : core)
+                cells.push_back(exactText(*f, m));
+            cells.push_back(jsonNumber(row.decisions));
+            cells.push_back(jsonNumber(row.preemptions));
+            // Rows that do not report a group sharing the file
+            // leave its columns empty.
+            for (const MetricField* f : extra)
+                cells.push_back(
+                    groupActive(m, f->group) ? exactText(*f, m) : "");
             for (const std::string& name : probes) {
                 const EstimatorAccuracy* found = nullptr;
                 for (const EstimatorAccuracy& est : m.estimators)
@@ -467,14 +408,20 @@ printScenarioTable(const ScenarioResult& result)
         rows, [](const ScenarioRow& r) { return r.chaos; });
     bool show_batcher = multiValued(
         rows, [](const ScenarioRow& r) { return r.batcher; });
-    bool any_shed = false;
-    bool any_resilience = false;
-    bool any_batch = false;
-    for (const ScenarioRow& row : rows) {
-        any_shed = any_shed || row.metrics.shed > 0;
-        any_resilience =
-            any_resilience || row.metrics.resilience.active;
-        any_batch = any_batch || row.metrics.batching.active;
+    // Metric columns: the labelled fields of every group some row
+    // reports; an onlyIfNonzero column also needs a nonzero value.
+    std::vector<const MetricField*> columns;
+    for (const MetricField& f : metricFields()) {
+        if (f.column.label == nullptr)
+            continue;
+        bool shown = false;
+        for (const ScenarioRow& row : rows) {
+            const Metrics& m = row.metrics;
+            shown = shown || (groupActive(m, f.group) &&
+                              (!f.column.onlyIfNonzero || f.get(m) != 0.0));
+        }
+        if (shown)
+            columns.push_back(&f);
     }
 
     std::string title = "scenario '" + spec.name + "' (" +
@@ -516,17 +463,8 @@ printScenarioTable(const ScenarioResult& result)
     if (show_batcher)
         header.push_back("batcher");
     header.push_back("scheduler");
-    header.insert(header.end(),
-                  {"ANTT", "violation [%]", "slo miss [%]",
-                   "throughput", "goodput", "p99 lat [ms]"});
-    if (any_shed)
-        header.push_back("shed");
-    if (any_resilience)
-        header.insert(header.end(), {"avail [%]", "retries",
-                                     "hedge win [%]"});
-    if (any_batch)
-        header.insert(header.end(), {"occupancy", "fill wait [ms]",
-                                     "straggler [s]"});
+    for (const MetricField* f : columns)
+        header.push_back(f->column.label);
     // Estimator accuracy probes, when the scenario ran any.
     const std::vector<EstimatorAccuracy>& probes =
         rows.front().metrics.estimators;
@@ -559,38 +497,14 @@ printScenarioTable(const ScenarioResult& result)
                                                 : row.batcher);
         cells.push_back(row.scheduler);
         const Metrics& m = row.metrics;
-        cells.push_back(AsciiTable::num(m.antt, 2));
-        cells.push_back(AsciiTable::num(m.violationRate * 100.0, 1));
-        cells.push_back(AsciiTable::num(m.sloMissRate * 100.0, 1));
-        cells.push_back(AsciiTable::num(m.throughput, 2));
-        cells.push_back(AsciiTable::num(m.goodput, 2));
-        cells.push_back(AsciiTable::num(m.p99Latency * 1e3, 2));
-        if (any_shed)
-            cells.push_back(std::to_string(m.shed));
-        if (any_resilience) {
-            const ResilienceStats& res = m.resilience;
-            if (res.active) {
-                cells.push_back(
-                    AsciiTable::num(res.availability * 100.0, 2));
-                cells.push_back(AsciiTable::num(res.retries, 0));
-                cells.push_back(
-                    AsciiTable::num(res.hedgeWinRate * 100.0, 1));
-            } else {
-                cells.insert(cells.end(), {"-", "-", "-"});
-            }
-        }
-        if (any_batch) {
-            const BatchStats& bat = m.batching;
-            if (bat.active) {
-                cells.push_back(
-                    AsciiTable::num(bat.meanOccupancy, 2));
-                cells.push_back(
-                    AsciiTable::num(bat.meanFillWaitSec * 1e3, 2));
-                cells.push_back(
-                    AsciiTable::num(bat.stragglerTaxSec, 3));
-            } else {
-                cells.insert(cells.end(), {"-", "-", "-"});
-            }
+        for (const MetricField* f : columns) {
+            if (!groupActive(m, f->group))
+                cells.push_back("-");
+            else if (f->kind == MetricField::Kind::Count)
+                cells.push_back(exactText(*f, m));
+            else
+                cells.push_back(AsciiTable::num(
+                    f->get(m) * f->column.scale, f->column.digits));
         }
         for (const EstimatorAccuracy& probe : probes) {
             const EstimatorAccuracy* found = nullptr;

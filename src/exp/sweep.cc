@@ -110,42 +110,30 @@ Metrics
 averageMetrics(const std::vector<Metrics>& runs)
 {
     fatalIf(runs.empty(), "averageMetrics: no runs");
+    // A grid point's replicas share one config, so either every run
+    // reports a resilience/batching group or none does.
     Metrics avg;
+    avg.resilience.active = runs[0].resilience.active;
+    avg.batching.active = runs[0].batching.active;
     for (const Metrics& m : runs) {
-        avg.antt += m.antt;
-        avg.violationRate += m.violationRate;
-        avg.sloMissRate += m.sloMissRate;
-        avg.throughput += m.throughput;
-        avg.goodput += m.goodput;
-        avg.stp += m.stp;
-        avg.p50Turnaround += m.p50Turnaround;
-        avg.p95Turnaround += m.p95Turnaround;
-        avg.p99Turnaround += m.p99Turnaround;
-        avg.p50Latency += m.p50Latency;
-        avg.p95Latency += m.p95Latency;
-        avg.p99Latency += m.p99Latency;
-        avg.makespan += m.makespan;
-        avg.completed += m.completed;
-        avg.shed += m.shed;
+        panicIf(m.resilience.active != avg.resilience.active ||
+                    m.resilience.tiers.size() !=
+                        runs[0].resilience.tiers.size(),
+                "averageMetrics: runs carry different resilience "
+                "configs");
+        panicIf(m.batching.active != avg.batching.active,
+                "averageMetrics: runs carry different batching "
+                "configs");
     }
     double n = static_cast<double>(runs.size());
-    avg.antt /= n;
-    avg.violationRate /= n;
-    avg.sloMissRate /= n;
-    avg.throughput /= n;
-    avg.goodput /= n;
-    avg.stp /= n;
-    avg.p50Turnaround /= n;
-    avg.p95Turnaround /= n;
-    avg.p99Turnaround /= n;
-    avg.p50Latency /= n;
-    avg.p95Latency /= n;
-    avg.p99Latency /= n;
-    avg.makespan /= n;
-    avg.completed = static_cast<size_t>(
-        static_cast<double>(avg.completed) / n);
-    avg.shed =
-        static_cast<size_t>(static_cast<double>(avg.shed) / n);
+    for (const MetricField& f : metricFields()) {
+        if (!groupActive(avg, f.group))
+            continue;
+        double sum = 0.0;
+        for (const Metrics& m : runs)
+            sum += f.get(m);
+        f.set(avg, sum / n);
+    }
 
     // Pool estimator-accuracy probes exactly: bias and rmse
     // reconstruct the underlying residual sums, so averaging seed
@@ -189,79 +177,24 @@ averageMetrics(const std::vector<Metrics>& runs)
         }
     }
 
-    // Pool resilience stats field-wise (counts are doubles for
-    // exactly this). A grid point's replicas share one config, so
-    // either every run is active or none is.
-    if (runs[0].resilience.active) {
-        ResilienceStats& res = avg.resilience;
-        res.active = true;
-        res.availability = res.mttr = 0.0;
-        res.retryAmplification = res.hedgeWinRate = 0.0;
-        res.tiers.assign(runs[0].resilience.tiers.size(),
-                         TierStats{});
-        for (const Metrics& m : runs) {
-            const ResilienceStats& r = m.resilience;
-            panicIf(!r.active || r.tiers.size() != res.tiers.size(),
-                    "averageMetrics: runs carry different "
-                    "resilience configs");
-            res.availability += r.availability;
-            res.mttr += r.mttr;
-            res.failures += r.failures;
-            res.timeouts += r.timeouts;
-            res.retries += r.retries;
-            res.retryAmplification += r.retryAmplification;
-            res.hedges += r.hedges;
-            res.hedgeWins += r.hedgeWins;
-            res.hedgeWinRate += r.hedgeWinRate;
-            res.brownoutSheds += r.brownoutSheds;
-            for (size_t t = 0; t < res.tiers.size(); ++t) {
-                res.tiers[t].completed += r.tiers[t].completed;
-                res.tiers[t].violations += r.tiers[t].violations;
-                res.tiers[t].shed += r.tiers[t].shed;
-                res.tiers[t].goodput += r.tiers[t].goodput;
-            }
-        }
-        res.availability /= n;
-        res.mttr /= n;
-        res.failures /= n;
-        res.timeouts /= n;
-        res.retries /= n;
-        res.retryAmplification /= n;
-        res.hedges /= n;
-        res.hedgeWins /= n;
-        res.hedgeWinRate /= n;
-        res.brownoutSheds /= n;
-        for (TierStats& tier : res.tiers) {
-            tier.completed /= n;
-            tier.violations /= n;
-            tier.shed /= n;
-            tier.goodput /= n;
+    // Per-tier outcomes average field-wise.
+    avg.resilience.tiers.assign(runs[0].resilience.tiers.size(),
+                                TierStats{});
+    for (const Metrics& m : runs) {
+        for (size_t t = 0; t < avg.resilience.tiers.size(); ++t) {
+            const TierStats& run_tier = m.resilience.tiers[t];
+            TierStats& tier = avg.resilience.tiers[t];
+            tier.completed += run_tier.completed;
+            tier.violations += run_tier.violations;
+            tier.shed += run_tier.shed;
+            tier.goodput += run_tier.goodput;
         }
     }
-
-    // Pool batching stats field-wise, same contract as resilience:
-    // a grid point's replicas share one batcher config, so either
-    // every run is active or none is.
-    if (runs[0].batching.active) {
-        BatchStats& bat = avg.batching;
-        bat.active = true;
-        for (const Metrics& m : runs) {
-            panicIf(!m.batching.active,
-                    "averageMetrics: runs carry different batching "
-                    "configs");
-            bat.formed += m.batching.formed;
-            bat.joins += m.batching.joins;
-            bat.steps += m.batching.steps;
-            bat.meanOccupancy += m.batching.meanOccupancy;
-            bat.meanFillWaitSec += m.batching.meanFillWaitSec;
-            bat.stragglerTaxSec += m.batching.stragglerTaxSec;
-        }
-        bat.formed /= n;
-        bat.joins /= n;
-        bat.steps /= n;
-        bat.meanOccupancy /= n;
-        bat.meanFillWaitSec /= n;
-        bat.stragglerTaxSec /= n;
+    for (TierStats& tier : avg.resilience.tiers) {
+        tier.completed /= n;
+        tier.violations /= n;
+        tier.shed /= n;
+        tier.goodput /= n;
     }
     return avg;
 }

@@ -167,10 +167,74 @@ struct Metrics
     ResilienceStats resilience;
     /** Dynamic-batching metrics (inactive unless enabled). */
     BatchStats batching;
-
-    /** Shed fraction of all offered requests, in [0, 1]. */
-    double shedRate() const;
 };
+
+/** The part of Metrics a reported field lives in. */
+enum class MetricGroup : uint8_t
+{
+    /** A top-level Metrics field, reported on every row. */
+    Core,
+    /** A ResilienceStats field, reported when `resilience.active`. */
+    Resilience,
+    /** A BatchStats field, reported when `batching.active`. */
+    Batching,
+};
+
+/** Result-table column of a reported field. */
+struct MetricColumn
+{
+    /** Header label; nullptr when the field has no table column. */
+    const char* label = nullptr;
+    /** Printed value = field value * scale. */
+    double scale = 1.0;
+    /** Decimals printed (counts always print as integers). */
+    int digits = 2;
+    /** Shown only when some row has a nonzero value. */
+    bool onlyIfNonzero = false;
+};
+
+/**
+ * One reported scalar of Metrics, ResilienceStats or BatchStats.
+ * metricFields() lists them in report order; JSON rows, CSV columns,
+ * result tables, seed averaging and sameMetrics() all read that one
+ * list, so a new metric is one entry there.
+ */
+struct MetricField
+{
+    enum class Kind : uint8_t
+    {
+        Real,
+        /**
+         * An integer field: written as an integer, and seed replicas
+         * average to the truncated mean.
+         */
+        Count,
+    };
+
+    /** JSON key (inside the group's object for non-Core groups). */
+    const char* json;
+    /** CSV column name. */
+    const char* csv;
+    MetricGroup group;
+    Kind kind;
+    double (*get)(const Metrics& m);
+    /** Store `value` (truncated for counts). */
+    void (*set)(Metrics& m, double value);
+    MetricColumn column;
+};
+
+/** Every reported scalar field, in report order. */
+const std::vector<MetricField>& metricFields();
+
+/** Whether `group` is reported for `m` (Core always is). */
+bool groupActive(const Metrics& m, MetricGroup group);
+
+/**
+ * Bit-exact equality of two results: every metricFields() entry,
+ * both `active` flags, every estimator-accuracy field and every
+ * per-tier field. The determinism gates compare with this.
+ */
+bool sameMetrics(const Metrics& a, const Metrics& b);
 
 /** How a streaming run accumulates its metrics. */
 enum class MetricsKind : uint8_t
@@ -199,12 +263,12 @@ std::string toString(MetricsKind kind);
 MetricsKind metricsKindFromName(const std::string& name);
 
 /**
- * Accumulator the streaming simulation core retires requests into,
- * one at a time, so no completed-request vector has to stay alive.
- * Exact mode reproduces computeMetricsCompleted() bit for bit (the
- * per-request records are replayed in request-id order, matching
- * the materialized vector's iteration order); Sketch mode holds
- * only O(1) state. `finalize()` may be called once, after the last
+ * Accumulator the simulation core retires requests into, one at a
+ * time, so no completed-request vector has to stay alive. Exact mode
+ * is the one exact aggregation: computeMetrics() feeds it too, and
+ * the per-request records are replayed in request-id order, matching
+ * a materialized vector's iteration order. Sketch mode holds only
+ * O(1) state. `finalize()` may be called once, after the last
  * retirement.
  */
 class StreamingMetrics
@@ -227,7 +291,7 @@ class StreamingMetrics
     Metrics finalize() const;
 
   private:
-    /** Exact-mode retained state: everything aggregate() reads. */
+    /** Exact-mode retained state: everything finalizeExact() reads. */
     struct CompletedRecord
     {
         int id = -1;

@@ -20,16 +20,14 @@ namespace {
  * non-decreasing time order and the Arrival kind wins every
  * same-time tie, this pops events in the same order as pushing all
  * arrivals up front, so the materialized path keeps its historical
- * schedule bit for bit. When `sink` is set, retired requests are
- * recorded there and handed back to the source; the materialized
- * caller passes nullptr and computes metrics from its surviving
- * vector instead.
+ * schedule bit for bit. Retired requests are recorded into a
+ * StreamingMetrics of `metrics_kind` and handed back to the source.
  */
 SimResult
 runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
                   Dispatcher& dispatcher,
                   const PolicyFactory& make_policy,
-                  StreamingMetrics* sink)
+                  MetricsKind metrics_kind)
 {
     fatalIf(cfg.nodes.empty(), "runSimulation: need at least one node");
     fatalIf(cfg.admission.enabled && cfg.lut == nullptr &&
@@ -70,6 +68,7 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
             "rebalancing (work-stealing) dispatchers");
 
     SimResult result;
+    StreamingMetrics sink(metrics_kind);
     dispatcher.reset();
 
     std::vector<std::unique_ptr<SimNode>> nodes;
@@ -305,8 +304,7 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
         dispatcher.onShed(*req, now);
         if (tele)
             tele->shed(*req, now);
-        if (sink)
-            sink->recordShed(*req);
+        sink.recordShed(*req);
         source.retire(req, now);
     };
 
@@ -480,8 +478,7 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
         // the pushed decision sweep.
         if (applyRebalance(now))
             pushDecision(now);
-        if (sink)
-            sink->recordCompleted(*logical);
+        sink.recordCompleted(*logical);
         // All callbacks are past; the source may recycle the slot
         // (no node holds a reference: completion cleared
         // running/lastRun and the ready queue).
@@ -828,9 +825,10 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
         result.preemptions += n->preemptionCount();
         result.decisions += n->decisionCount();
     }
+    result.metrics = sink.finalize();
 
     if (batch_on) {
-        BatchStats& bs = result.batching;
+        BatchStats& bs = result.metrics.batching;
         bs.active = true;
         size_t formed = 0, joins = 0, steps = 0, member_steps = 0;
         size_t fill_count = 0;
@@ -859,7 +857,7 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
     }
 
     if (resilience_on) {
-        ResilienceStats& rs = result.resilience;
+        ResilienceStats& rs = result.metrics.resilience;
         rs.active = true;
         // Down spells still open when the last request retired count
         // against availability but not as closed repairs.
@@ -890,49 +888,24 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
                             : 0.0;
         rs.brownoutSheds = static_cast<double>(brownout_sheds);
         rs.tiers.resize(n_tiers);
+        double makespan = result.metrics.makespan;
         for (size_t t = 0; t < n_tiers; ++t) {
-            rs.tiers[t].completed = tier_completed[t];
-            rs.tiers[t].violations = tier_violations[t];
-            rs.tiers[t].shed = tier_shed[t];
-            // goodput needs the makespan: the overloads fill it in
-            // after their metrics aggregation.
+            TierStats& tier = rs.tiers[t];
+            tier.completed = tier_completed[t];
+            tier.violations = tier_violations[t];
+            tier.shed = tier_shed[t];
+            tier.goodput = makespan > 0.0
+                               ? (tier.completed - tier.violations) /
+                                     makespan
+                               : 0.0;
         }
     }
 
-    if (tele)
+    if (tele) {
         tele->endRun(sim_now);
-    return result;
-}
-
-/**
- * Mirror the loop's resilience stats into the freshly-computed
- * metrics (which the overloads overwrite wholesale) and derive the
- * makespan-dependent per-tier goodput.
- */
-void
-finalizeResilience(SimResult& result)
-{
-    if (!result.resilience.active)
-        return;
-    double makespan = result.metrics.makespan;
-    for (TierStats& t : result.resilience.tiers) {
-        t.goodput = makespan > 0.0
-                        ? (t.completed - t.violations) / makespan
-                        : 0.0;
+        result.metrics.estimators = tele->accuracy();
     }
-    result.metrics.resilience = result.resilience;
-}
-
-/**
- * Mirror the loop's batching stats into the freshly-computed metrics
- * (which the overloads overwrite wholesale).
- */
-void
-finalizeBatch(SimResult& result)
-{
-    if (!result.batching.active)
-        return;
-    result.metrics.batching = result.batching;
+    return result;
 }
 
 } // namespace
@@ -960,31 +933,16 @@ runSimulation(const SimConfig& cfg, std::vector<Request>& requests,
     }
 
     MaterializedSource source(requests);
-    SimResult result = runSimulationLoop(cfg, source, dispatcher,
-                                         make_policy, nullptr);
-    // The vector survives the run, so metrics come from the same
-    // full-vector aggregation as always (bit-identical to the seed).
-    result.metrics = computeMetricsCompleted(requests);
-    if (cfg.telemetry)
-        result.metrics.estimators = cfg.telemetry->accuracy();
-    finalizeResilience(result);
-    finalizeBatch(result);
-    return result;
+    return runSimulationLoop(cfg, source, dispatcher, make_policy,
+                             MetricsKind::Exact);
 }
 
 SimResult
 runSimulation(const SimConfig& cfg, ArrivalSource& source,
               Dispatcher& dispatcher, const PolicyFactory& make_policy)
 {
-    StreamingMetrics sink(cfg.metricsKind);
-    SimResult result = runSimulationLoop(cfg, source, dispatcher,
-                                         make_policy, &sink);
-    result.metrics = sink.finalize();
-    if (cfg.telemetry)
-        result.metrics.estimators = cfg.telemetry->accuracy();
-    finalizeResilience(result);
-    finalizeBatch(result);
-    return result;
+    return runSimulationLoop(cfg, source, dispatcher, make_policy,
+                             cfg.metricsKind);
 }
 
 } // namespace dysta

@@ -138,8 +138,7 @@ struct SimConfig
      * Metrics accumulation of the streaming (ArrivalSource)
      * overload: Exact is bit-identical to the materialized path,
      * Sketch is O(1) memory for megascale runs. Ignored by the
-     * vector overload, which computes metrics from the surviving
-     * request vector as before.
+     * vector overload, which always aggregates exactly.
      */
     MetricsKind metricsKind = MetricsKind::Exact;
 
@@ -201,17 +200,6 @@ struct SimResult
     std::vector<ClusterEvent> events;
     /** Calendar events processed (events/sec denominators). */
     size_t eventsProcessed = 0;
-    /**
-     * Chaos-engine resilience metrics (also mirrored into
-     * `metrics.resilience`); inactive unless a resilience mechanism
-     * was configured.
-     */
-    ResilienceStats resilience;
-    /**
-     * Dynamic-batching metrics (also mirrored into
-     * `metrics.batching`); inactive unless batching was enabled.
-     */
-    BatchStats batching;
 };
 
 /**

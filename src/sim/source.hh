@@ -13,7 +13,7 @@
  *
  * Two sources exist: MaterializedSource adapts the classic
  * pre-generated std::vector<Request> (retirement is a no-op; the
- * vector keeps every request for computeMetrics), and
+ * vector keeps every request for the caller), and
  * WorkloadArrivalSource (src/workload/source.hh) generates requests
  * one at a time from the ArrivalProcess + trace sampler, recycling
  * retired ones through a RequestArena.

@@ -11,8 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 
 #include "api/registry.hh"
@@ -48,17 +50,6 @@ smallWorkload(WorkloadKind kind = WorkloadKind::MultiAttNN)
     wl.numRequests = 60;
     wl.seed = 11;
     return wl;
-}
-
-bool
-identicalMetrics(const Metrics& a, const Metrics& b)
-{
-    return a.antt == b.antt && a.violationRate == b.violationRate &&
-           a.sloMissRate == b.sloMissRate &&
-           a.throughput == b.throughput && a.stp == b.stp &&
-           a.p99Latency == b.p99Latency &&
-           a.completed == b.completed && a.shed == b.shed &&
-           a.makespan == b.makespan;
 }
 
 } // namespace
@@ -196,7 +187,7 @@ TEST(PolicyRegistry, RegistryMatchesHandConstructionBitExactly)
 
     EngineResult a = runOne(ctx, wl, *from_registry);
     EngineResult b = runOne(ctx, wl, by_hand);
-    EXPECT_TRUE(identicalMetrics(a.metrics, b.metrics));
+    EXPECT_TRUE(sameMetrics(a.metrics, b.metrics));
     EXPECT_EQ(a.decisions, b.decisions);
     EXPECT_EQ(a.preemptions, b.preemptions);
 
@@ -208,7 +199,7 @@ TEST(PolicyRegistry, RegistryMatchesHandConstructionBitExactly)
         "dysta:eta=0.125", ctx, wl.kind);
     EngineResult c = runOne(ctx, wl, *dysta_reg);
     EngineResult d = runOne(ctx, wl, dysta_hand);
-    EXPECT_TRUE(identicalMetrics(c.metrics, d.metrics));
+    EXPECT_TRUE(sameMetrics(c.metrics, d.metrics));
     EXPECT_EQ(c.decisions, d.decisions);
 }
 
@@ -434,11 +425,12 @@ TEST(Scenario, RunScenarioMatchesManualSweep)
         cell.workload.numRequests = 50;
         cell.workload.seed = spec.seed;
         cell.scheduler = spec.schedulers[i];
+        cell.probes = spec.probes;
         std::vector<Metrics> runs;
         for (const SweepCell& c : seedReplicas(cell, spec.seeds))
             runs.push_back(runSweepCell(ctx, c).metrics);
-        EXPECT_TRUE(identicalMetrics(result.rows[i].metrics,
-                                     averageMetrics(runs)))
+        EXPECT_TRUE(sameMetrics(result.rows[i].metrics,
+                                averageMetrics(runs)))
             << "row " << i;
     }
 }
@@ -466,8 +458,7 @@ TEST(Scenario, ClusterRunsAreDeterministicAcrossJobs)
     ScenarioResult b = runScenario(spec, parallel);
     ASSERT_EQ(a.rows.size(), b.rows.size());
     for (size_t i = 0; i < a.rows.size(); ++i)
-        EXPECT_TRUE(identicalMetrics(a.rows[i].metrics,
-                                     b.rows[i].metrics))
+        EXPECT_TRUE(sameMetrics(a.rows[i].metrics, b.rows[i].metrics))
             << "row " << i;
 }
 
@@ -718,4 +709,196 @@ TEST(Reporter, EmitsWellFormedEscapedJson)
         EXPECT_FALSE(static_cast<unsigned char>(c) < 0x20 &&
                      c != '\n')
             << "raw control character in JSON";
+}
+
+namespace {
+
+/**
+ * A two-scenario report mixing every conditional output: resilience
+ * and batching active on some rows only, two estimator probes (one
+ * missing from a row), sheds on one row, and a second scenario with
+ * no chaos or batcher axis sharing the CSV.
+ */
+Reporter
+mixedReport()
+{
+    ScenarioResult mixed;
+    mixed.spec.name = "mixed";
+    mixed.spec.fleets = {"sanger:2"};
+    mixed.spec.requests = 120;
+    mixed.spec.seeds = 2;
+
+    ScenarioRow chaos_row;
+    chaos_row.workload = "attnn@30";
+    chaos_row.arrival = "mmpp";
+    chaos_row.slo = 5.0;
+    chaos_row.fleet = "sanger:2";
+    chaos_row.dispatcher = "least-backlog";
+    chaos_row.admissionMargin = 1.5;
+    chaos_row.chaos = "mtbf:up=exp@5,down=exp@1";
+    chaos_row.scheduler = "Dysta";
+    chaos_row.decisions = 301.5;
+    chaos_row.preemptions = 12.0;
+    Metrics& m = chaos_row.metrics;
+    m.antt = 3.25;
+    m.violationRate = 1.0 / 3.0;
+    m.sloMissRate = 0.4;
+    m.throughput = 41.125;
+    m.goodput = 27.4;
+    m.stp = 40.5;
+    m.p50Turnaround = 2.0;
+    m.p95Turnaround = 7.5;
+    m.p99Turnaround = 9.75;
+    m.p50Latency = 0.012;
+    m.p95Latency = 0.0875;
+    m.p99Latency = 0.1234567;
+    m.completed = 111;
+    m.shed = 9;
+    m.makespan = 2.7;
+    m.estimators = {{"dysta", 400.0, 0.001, 0.002, 100.0, -0.0005, 0.003},
+                    {"lut", 400.0, -0.004, 0.006, 100.0, 0.0, 0.01}};
+    m.resilience.active = true;
+    m.resilience.availability = 0.9375;
+    m.resilience.mttr = 1.1;
+    m.resilience.failures = 3.5;
+    m.resilience.timeouts = 7.0;
+    m.resilience.retries = 6.5;
+    m.resilience.retryAmplification = 1.0541666666666667;
+    m.resilience.hedges = 4.0;
+    m.resilience.hedgeWins = 1.5;
+    m.resilience.hedgeWinRate = 0.375;
+    m.resilience.brownoutSheds = 2.0;
+    m.resilience.tiers = {{80.0, 20.0, 1.0, 22.2}, {31.0, 17.0, 8.0, 5.2}};
+
+    ScenarioRow batch_row = chaos_row;
+    batch_row.chaos = "";
+    batch_row.batcher = "sparsity:max=4";
+    batch_row.admissionMargin = 1.0;
+    Metrics& b = batch_row.metrics;
+    b.shed = 0;
+    b.completed = 120;
+    b.sloMissRate = b.violationRate;
+    b.estimators.pop_back();
+    b.resilience = ResilienceStats{};
+    b.batching.active = true;
+    b.batching.formed = 30.5;
+    b.batching.joins = 12.0;
+    b.batching.steps = 410.0;
+    b.batching.meanOccupancy = 2.6666666666666665;
+    b.batching.meanFillWaitSec = 0.0015;
+    b.batching.stragglerTaxSec = 0.04321;
+    mixed.rows = {chaos_row, batch_row};
+
+    ScenarioResult plain;
+    plain.spec.name = "plain";
+    plain.spec.requests = 60;
+    ScenarioRow plain_row;
+    plain_row.workload = "cnn@3";
+    plain_row.arrival = "poisson";
+    plain_row.scheduler = "FCFS";
+    plain_row.metrics.antt = 1.5;
+    plain_row.metrics.throughput = 3.0;
+    plain_row.metrics.completed = 60;
+    plain_row.metrics.makespan = 20.0;
+    plain.rows = {plain_row};
+
+    Reporter report("pin");
+    report.add(mixed);
+    report.add(plain);
+    return report;
+}
+
+} // namespace
+
+TEST(Reporter, CsvBytesArePinned)
+{
+    std::string path = ::testing::TempDir() + "report_pin.csv";
+    ::testing::internal::CaptureStdout();
+    mixedReport().writeCsv(path);
+    ::testing::internal::GetCapturedStdout();
+    std::ifstream in(path);
+    std::string csv((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+    std::remove(path.c_str());
+    EXPECT_EQ(csv,
+        "scenario,workload,arrival,slo,fleet,dispatcher,admission"
+        "_margin,steal_ratio,chaos,batcher,scheduler,antt,violati"
+        "on_rate,slo_miss_rate,throughput,goodput,stp,p50_turnaro"
+        "und,p95_turnaround,p99_turnaround,p50_latency,p95_latenc"
+        "y,p99_latency,completed,shed,makespan,decisions,preempti"
+        "ons,availability,mttr,failures,timeouts,retries,retry_am"
+        "plification,hedges,hedge_wins,hedge_win_rate,brownout_sh"
+        "eds,batch_formed,batch_joins,batch_steps,batch_occupancy"
+        ",batch_fill_wait,batch_straggler_tax,est_dysta_bias,est_"
+        "dysta_rmse,est_lut_bias,est_lut_rmse\n"
+        "mixed,attnn@30,mmpp,5,sanger:2,least-backlog,1.5,-1,\"mtb"
+        "f:up=exp@5,down=exp@1\",,Dysta,3.25,0.3333333333333333,0."
+        "4,41.125,27.4,40.5,2,7.5,9.75,0.012,0.0875,0.1234567,111"
+        ",9,2.7,301.5,12,0.9375,1.1,3.5,7,6.5,1.0541666666666667,"
+        "4,1.5,0.375,2,,,,,,,0.001,0.002,-0.004,0.006\n"
+        "mixed,attnn@30,mmpp,5,sanger:2,least-backlog,1,-1,,spars"
+        "ity:max=4,Dysta,3.25,0.3333333333333333,0.33333333333333"
+        "33,41.125,27.4,40.5,2,7.5,9.75,0.012,0.0875,0.1234567,12"
+        "0,0,2.7,301.5,12,,,,,,,,,,,30.5,12,410,2.666666666666666"
+        "5,0.0015,0.04321,0.001,0.002,,\n"
+        "plain,cnn@3,poisson,10,,,1,-1,,,FCFS,1.5,0,0,3,0,0,0,0,0"
+        ",0,0,0,60,0,20,0,0,,,,,,,,,,,,,,,,,,,,\n");
+}
+
+TEST(Reporter, ScenarioTableBytesArePinned)
+{
+    ::testing::internal::CaptureStdout();
+    mixedReport().printTables();
+    std::string tables = ::testing::internal::GetCapturedStdout();
+    EXPECT_EQ(tables,
+        "== scenario 'mixed' (120 requests x 2 seeds, attnn@30, m"
+        "mpp, M_slo=5x, fleet sanger:2) ==\n"
+        "+---------------+--------+--------------------------+---"
+        "-------------+-----------+------+---------------+-------"
+        "-------+------------+---------+--------------+------+---"
+        "--------+---------+---------------+-----------+---------"
+        "-------+---------------+-----------------+--------------"
+        "-+\n"
+        "| dispatcher    | margin | chaos                    | ba"
+        "tcher        | scheduler | ANTT | violation [%] | slo mi"
+        "ss [%] | throughput | goodput | p99 lat [ms] | shed | av"
+        "ail [%] | retries | hedge win [%] | occupancy | fill wai"
+        "t [ms] | straggler [s] | rmse dysta [ms] | rmse lut [ms]"
+        " |\n"
+        "+---------------+--------+--------------------------+---"
+        "-------------+-----------+------+---------------+-------"
+        "-------+------------+---------+--------------+------+---"
+        "--------+---------+---------------+-----------+---------"
+        "-------+---------------+-----------------+--------------"
+        "-+\n"
+        "| least-backlog | 1.5    | mtbf:up=exp@5,down=exp@1 | no"
+        "ne           | Dysta     | 3.25 | 33.3          | 40.0  "
+        "       | 41.12      | 27.40   | 123.46       | 9    | 93"
+        ".75     | 6       | 37.5          | -         | -       "
+        "       | -             | 2.00            | 6.00         "
+        " |\n"
+        "| least-backlog | 1      | none                     | sp"
+        "arsity:max=4 | Dysta     | 3.25 | 33.3          | 33.3  "
+        "       | 41.12      | 27.40   | 123.46       | 0    | - "
+        "        | -       | -             | 2.67      | 1.50    "
+        "       | 0.043         | 2.00            | -            "
+        " |\n"
+        "+---------------+--------+--------------------------+---"
+        "-------------+-----------+------+---------------+-------"
+        "-------+------------+---------+--------------+------+---"
+        "--------+---------+---------------+-----------+---------"
+        "-------+---------------+-----------------+--------------"
+        "-+\n"
+        "== scenario 'plain' (60 requests x 1 seed, cnn@3, poisso"
+        "n, M_slo=10x) ==\n"
+        "+-----------+------+---------------+--------------+-----"
+        "-------+---------+--------------+\n"
+        "| scheduler | ANTT | violation [%] | slo miss [%] | thro"
+        "ughput | goodput | p99 lat [ms] |\n"
+        "+-----------+------+---------------+--------------+-----"
+        "-------+---------+--------------+\n"
+        "| FCFS      | 1.50 | 0.0           | 0.0          | 3.00"
+        "       | 0.00    | 0.00         |\n"
+        "+-----------+------+---------------+--------------+-----"
+        "-------+---------+--------------+\n");
 }

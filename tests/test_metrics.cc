@@ -1,11 +1,15 @@
 /**
  * @file
  * Unit tests for metric computation edge cases: empty and singleton
- * request sets, all-violated SLOs, zero-makespan guards, and the
- * completed-subset variant used by cluster runs with load shedding.
+ * request sets, all-violated SLOs, zero-makespan guards, the
+ * completed-subset variant used by cluster runs with load shedding,
+ * and the metric-field table behind reports and sameMetrics().
  */
 
 #include <gtest/gtest.h>
+
+#include <set>
+#include <string>
 
 #include "sched/metrics.hh"
 #include "test_helpers.hh"
@@ -46,7 +50,6 @@ TEST(Metrics, EmptyRequestSetYieldsZeroes)
     EXPECT_DOUBLE_EQ(m.violationRate, 0.0);
     EXPECT_DOUBLE_EQ(m.throughput, 0.0);
     EXPECT_DOUBLE_EQ(m.p99Turnaround, 0.0);
-    EXPECT_DOUBLE_EQ(m.shedRate(), 0.0);
 }
 
 TEST(Metrics, SingleRequest)
@@ -103,7 +106,6 @@ TEST(Metrics, CompletedVariantSkipsShedRequests)
     Metrics m = computeMetricsCompleted(reqs);
     EXPECT_EQ(m.completed, 2u);
     EXPECT_EQ(m.shed, 1u);
-    EXPECT_NEAR(m.shedRate(), 1.0 / 3.0, 1e-12);
     EXPECT_NEAR(m.antt, 2.0, 1e-12);
 }
 
@@ -130,7 +132,6 @@ TEST(Metrics, CompletedVariantAllShed)
     Metrics m = computeMetricsCompleted(reqs);
     EXPECT_EQ(m.completed, 0u);
     EXPECT_EQ(m.shed, 2u);
-    EXPECT_DOUBLE_EQ(m.shedRate(), 1.0);
     EXPECT_DOUBLE_EQ(m.antt, 0.0);
     EXPECT_DOUBLE_EQ(m.throughput, 0.0);
 }
@@ -188,4 +189,41 @@ TEST(Metrics, CompletedVariantStillPanicsOnUnfinished)
     // Unfinished but *not* shed is an engine bug, even here.
     std::vector<Request> reqs = {world().request(0, "m", 0.0)};
     EXPECT_DEATH(computeMetricsCompleted(reqs), "unfinished request");
+}
+
+// --- metric-field table ----------------------------------------------
+
+TEST(MetricFields, KeysAndColumnsAreUnique)
+{
+    std::set<std::string> csv;
+    std::set<std::pair<MetricGroup, std::string>> json;
+    for (const MetricField& f : metricFields()) {
+        EXPECT_TRUE(csv.insert(f.csv).second) << f.csv;
+        EXPECT_TRUE(json.insert({f.group, f.json}).second) << f.json;
+    }
+}
+
+TEST(MetricFields, SameMetricsSeesEveryField)
+{
+    Metrics a;
+    a.resilience.active = true;
+    a.resilience.tiers = {TierStats{}};
+    a.batching.active = true;
+    a.estimators = {EstimatorAccuracy{"lut"}};
+    EXPECT_TRUE(sameMetrics(a, a));
+
+    for (const MetricField& f : metricFields()) {
+        Metrics b = a;
+        f.set(b, f.get(a) + 1.0);
+        EXPECT_FALSE(sameMetrics(a, b)) << f.json;
+    }
+    Metrics b = a;
+    b.batching.active = false;
+    EXPECT_FALSE(sameMetrics(a, b));
+    b = a;
+    b.estimators[0].isolatedRmse = 1.0;
+    EXPECT_FALSE(sameMetrics(a, b));
+    b = a;
+    b.resilience.tiers[0].goodput = 1.0;
+    EXPECT_FALSE(sameMetrics(a, b));
 }

@@ -36,17 +36,6 @@ smallCtx()
     return *ctx;
 }
 
-bool
-identicalMetrics(const Metrics& a, const Metrics& b)
-{
-    return a.antt == b.antt && a.violationRate == b.violationRate &&
-           a.sloMissRate == b.sloMissRate &&
-           a.throughput == b.throughput && a.stp == b.stp &&
-           a.p99Latency == b.p99Latency &&
-           a.completed == b.completed && a.shed == b.shed &&
-           a.makespan == b.makespan;
-}
-
 /** A cluster run with mid-run failure + recovery on node 0. */
 ClusterRunConfig
 failoverCluster()
@@ -245,13 +234,14 @@ TEST(TelemetryIdentity, AttachedSinkDoesNotPerturbTheRun)
     traced.telemetry = &telemetry;
     ClusterResult observed = runCluster(ctx, wl, traced);
 
-    EXPECT_TRUE(
-        identicalMetrics(base.metrics, observed.metrics));
-    EXPECT_EQ(base.preemptions, observed.preemptions);
-    EXPECT_EQ(base.decisions, observed.decisions);
     // The sink-attached run additionally carries probe accuracy.
     EXPECT_TRUE(base.metrics.estimators.empty());
     EXPECT_EQ(observed.metrics.estimators.size(), 2u);
+    Metrics unprobed = observed.metrics;
+    unprobed.estimators.clear();
+    EXPECT_TRUE(sameMetrics(base.metrics, unprobed));
+    EXPECT_EQ(base.preemptions, observed.preemptions);
+    EXPECT_EQ(base.decisions, observed.decisions);
 }
 
 // --- deterministic exports -------------------------------------------
@@ -349,17 +339,8 @@ TEST(TelemetryScenario, ProbeAccuracyIsIdenticalAcrossJobCounts)
     for (size_t i = 0; i < a.rows.size(); ++i) {
         const Metrics& ma = a.rows[i].metrics;
         const Metrics& mb = b.rows[i].metrics;
-        EXPECT_TRUE(identicalMetrics(ma, mb));
+        EXPECT_TRUE(sameMetrics(ma, mb));
         ASSERT_EQ(ma.estimators.size(), 2u);
-        ASSERT_EQ(mb.estimators.size(), 2u);
-        for (size_t p = 0; p < ma.estimators.size(); ++p) {
-            EXPECT_EQ(ma.estimators[p].estimator,
-                      mb.estimators[p].estimator);
-            EXPECT_EQ(ma.estimators[p].samples,
-                      mb.estimators[p].samples);
-            EXPECT_EQ(ma.estimators[p].bias, mb.estimators[p].bias);
-            EXPECT_EQ(ma.estimators[p].rmse, mb.estimators[p].rmse);
-        }
         EXPECT_GT(ma.estimators[0].samples, 0.0);
     }
 }

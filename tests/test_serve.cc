@@ -43,14 +43,6 @@ ctx()
     return *instance;
 }
 
-bool
-sameMetrics(const Metrics& a, const Metrics& b)
-{
-    return a.antt == b.antt && a.violationRate == b.violationRate &&
-           a.throughput == b.throughput && a.completed == b.completed &&
-           a.shed == b.shed && a.makespan == b.makespan;
-}
-
 } // namespace
 
 // --- node/engine semantics -------------------------------------------------

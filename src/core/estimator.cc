@@ -6,38 +6,16 @@ namespace dysta {
 
 // --- LutEstimator -----------------------------------------------------------
 
-const ModelInfo&
-LutEstimator::info(const Request& req) const
-{
-    auto it = tracked.find(req.id);
-    if (it != tracked.end())
-        return *it->second;
-    return lut->lookup(req.modelName, req.pattern);
-}
-
-void
-LutEstimator::admit(const Request& req)
-{
-    tracked.try_emplace(req.id,
-                        &lut->lookup(req.modelName, req.pattern));
-}
-
-void
-LutEstimator::release(const Request& req)
-{
-    tracked.erase(req.id);
-}
-
 double
 LutEstimator::remaining(const Request& req) const
 {
-    return info(req).estRemaining(req.nextLayer);
+    return lut->entryFor(req).estRemaining(req.nextLayer);
 }
 
 double
 LutEstimator::isolated(const Request& req) const
 {
-    return info(req).avgLatency;
+    return lut->entryFor(req).avgLatency;
 }
 
 // --- DystaEstimator ---------------------------------------------------------
@@ -58,8 +36,8 @@ DystaEstimator::reset()
 void
 DystaEstimator::admit(const Request& req)
 {
-    const ModelInfo& info = lut->lookup(req.modelName, req.pattern);
-    predictors.try_emplace(req.id, SparseLatencyPredictor(info, pcfg));
+    predictors.try_emplace(req.id,
+                           SparseLatencyPredictor(lut->entryFor(req), pcfg));
 }
 
 void
@@ -85,8 +63,7 @@ DystaEstimator::remaining(const Request& req) const
     auto it = predictors.find(req.id);
     if (it != predictors.end())
         return it->second.predictRemaining(req.nextLayer);
-    return lut->lookup(req.modelName, req.pattern)
-        .estRemaining(req.nextLayer);
+    return lut->entryFor(req).estRemaining(req.nextLayer);
 }
 
 double
@@ -95,7 +72,7 @@ DystaEstimator::isolated(const Request& req) const
     // SLOs are published against the profiled average, so the
     // isolated reference stays the LUT value even for refined
     // requests.
-    return lut->lookup(req.modelName, req.pattern).avgLatency;
+    return lut->entryFor(req).avgLatency;
 }
 
 double

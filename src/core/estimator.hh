@@ -90,9 +90,9 @@ class LatencyEstimator
 
 /**
  * Static LUT estimator: the profiled average latency of the layers
- * still ahead (Sec. 4.1). Stateless apart from a per-request cache
- * of the LUT entry, which avoids re-hashing the (model, pattern)
- * string key on every query.
+ * still ahead (Sec. 4.1). Stateless: the LUT entry comes from the
+ * request's resolved cache (ModelInfoLut::entryFor), so a query
+ * hashes no (model, pattern) string key.
  */
 class LutEstimator : public LatencyEstimator
 {
@@ -101,18 +101,11 @@ class LutEstimator : public LatencyEstimator
 
     std::string name() const override { return "lut"; }
 
-    void reset() override { tracked.clear(); }
-    void admit(const Request& req) override;
-    void release(const Request& req) override;
-
     double remaining(const Request& req) const override;
     double isolated(const Request& req) const override;
 
   private:
     const ModelInfoLut* lut;
-    std::unordered_map<int, const ModelInfo*> tracked;
-
-    const ModelInfo& info(const Request& req) const;
 };
 
 /**

@@ -40,7 +40,19 @@ SparseLatencyPredictor::SparseLatencyPredictor(const ModelInfo& model,
     fatalIf(cfg.lastN < 1, "SparseLatencyPredictor: lastN must be >= 1");
     fatalIf(cfg.emaWeight <= 0.0 || cfg.emaWeight > 1.0,
             "SparseLatencyPredictor: emaWeight must be in (0, 1]");
+    if (cfg.strategy == PredictorStrategy::LastN)
+        window.resize(static_cast<size_t>(cfg.lastN));
 }
+
+namespace {
+
+double
+density(double sparsity)
+{
+    return std::clamp(1.0 - sparsity, 1e-3, 1.0);
+}
+
+} // namespace
 
 void
 SparseLatencyPredictor::observe(size_t layer, double monitored_sparsity)
@@ -52,8 +64,27 @@ SparseLatencyPredictor::observe(size_t layer, double monitored_sparsity)
     panicIf(info->avgLayerSparsity[layer] < 0.0,
             "SparseLatencyPredictor::observe: layer has no profiled "
             "sparsity baseline");
-    observedLayers.push_back(layer);
-    observedSparsity.push_back(monitored_sparsity);
+    double d = density(monitored_sparsity);
+    switch (cfg.strategy) {
+      case PredictorStrategy::AverageAll:
+        densitySum += d;
+        break;
+      case PredictorStrategy::LastN:
+        window[count % window.size()] = d;
+        break;
+      case PredictorStrategy::LastOne:
+        break;
+      case PredictorStrategy::Ema: {
+        // Each observation contributes its own density ratio against
+        // its layer's LUT baseline.
+        double ratio = d / density(info->avgLayerSparsity[layer]);
+        ema = (1.0 - cfg.emaWeight) * ema + cfg.emaWeight * ratio;
+        break;
+      }
+    }
+    lastLayer = layer;
+    lastDensity = d;
+    ++count;
 }
 
 double
@@ -65,20 +96,13 @@ SparseLatencyPredictor::clampGamma(double g) const
 double
 SparseLatencyPredictor::gamma() const
 {
-    if (observedLayers.empty())
+    if (count == 0)
         return 1.0;
-
-    auto density = [](double sparsity) {
-        return std::clamp(1.0 - sparsity, 1e-3, 1.0);
-    };
 
     switch (cfg.strategy) {
       case PredictorStrategy::AverageAll: {
         // Observed mean density vs the network-average density.
-        double obs = 0.0;
-        for (double s : observedSparsity)
-            obs += density(s);
-        obs /= static_cast<double>(observedSparsity.size());
+        double obs = densitySum / static_cast<double>(count);
         double base = density(info->avgNetworkSparsity);
         return clampGamma(obs / base);
       }
@@ -86,37 +110,22 @@ SparseLatencyPredictor::gamma() const
         // Mean of the last N observations, but baselined on the
         // current layer's LUT entry only (Alg. 3 fetches S_avg(i,j)):
         // mixing layer types into the numerator is what degrades
-        // this strategy in Table 4.
-        size_t n = std::min<size_t>(cfg.lastN, observedSparsity.size());
+        // this strategy in Table 4. Summed oldest first.
+        size_t n = std::min(window.size(), count);
         double obs = 0.0;
-        for (size_t k = observedSparsity.size() - n;
-             k < observedSparsity.size(); ++k) {
-            obs += density(observedSparsity[k]);
-        }
+        for (size_t k = count - n; k < count; ++k)
+            obs += window[k % window.size()];
         obs /= static_cast<double>(n);
-        double base =
-            density(info->avgLayerSparsity[observedLayers.back()]);
+        double base = density(info->avgLayerSparsity[lastLayer]);
         return clampGamma(obs / base);
       }
       case PredictorStrategy::LastOne: {
-        double obs = density(observedSparsity.back());
-        double base =
-            density(info->avgLayerSparsity[observedLayers.back()]);
-        return clampGamma(obs / base);
+        double base = density(info->avgLayerSparsity[lastLayer]);
+        return clampGamma(lastDensity / base);
       }
-      case PredictorStrategy::Ema: {
-        // Each observation contributes its own density ratio against
-        // its layer's LUT baseline, folded into an exponential
-        // moving average seeded at the profile prior gamma = 1.
-        double g = 1.0;
-        for (size_t k = 0; k < observedSparsity.size(); ++k) {
-            double base =
-                density(info->avgLayerSparsity[observedLayers[k]]);
-            double ratio = density(observedSparsity[k]) / base;
-            g = (1.0 - cfg.emaWeight) * g + cfg.emaWeight * ratio;
-        }
-        return clampGamma(g);
-      }
+      case PredictorStrategy::Ema:
+        // Folded in observe(), seeded at the profile prior gamma = 1.
+        return clampGamma(ema);
     }
     panic("SparseLatencyPredictor: unknown strategy");
 }
@@ -136,8 +145,11 @@ SparseLatencyPredictor::predictTotal() const
 void
 SparseLatencyPredictor::reset()
 {
-    observedLayers.clear();
-    observedSparsity.clear();
+    count = 0;
+    lastLayer = 0;
+    lastDensity = 0.0;
+    densitySum = 0.0;
+    ema = 1.0;
 }
 
 } // namespace dysta

@@ -68,7 +68,13 @@ struct PredictorConfig
     double gammaMax = 4.0;
 };
 
-/** Per-request online latency predictor. */
+/**
+ * Per-request online latency predictor. Each observation is folded
+ * into the active strategy's O(1) state as it arrives (a running
+ * density sum, an N-entry window, the EMA value, the last sample),
+ * in the order a rescan of the full history would add them, so
+ * gamma() is O(1) (O(N) for last-N) and bit-identical to the rescan.
+ */
 class SparseLatencyPredictor
 {
   public:
@@ -93,14 +99,22 @@ class SparseLatencyPredictor
     /** Forget all observations. */
     void reset();
 
-    size_t observations() const { return observedLayers.size(); }
+    size_t observations() const { return count; }
 
   private:
     const ModelInfo* info;
     PredictorConfig cfg;
 
-    std::vector<size_t> observedLayers;
-    std::vector<double> observedSparsity;
+    size_t count = 0;
+    /** Layer and clamped density of the latest observation. */
+    size_t lastLayer = 0;
+    double lastDensity = 0.0;
+    /** AverageAll: sum of every observed density. */
+    double densitySum = 0.0;
+    /** Ema: the moving average, seeded at the prior gamma = 1. */
+    double ema = 1.0;
+    /** LastN: ring of the latest lastN densities. */
+    std::vector<double> window;
 
     double clampGamma(double g) const;
 };

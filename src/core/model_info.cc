@@ -1,5 +1,6 @@
 #include "core/model_info.hh"
 
+#include "sched/request.hh"
 #include "util/logging.hh"
 
 namespace dysta {
@@ -15,8 +16,8 @@ ModelInfo::estRemaining(size_t layer) const
 void
 ModelInfoLut::addFromTrace(const TraceSet& traces)
 {
-    fatalIf(traces.empty(), "ModelInfoLut: empty trace set for " +
-                                traces.modelName());
+    if (traces.empty())
+        fatal("ModelInfoLut: empty trace set for " + traces.modelName());
     ModelInfo info;
     info.model = traces.modelName();
     info.pattern = traces.pattern();
@@ -51,18 +52,41 @@ bool
 ModelInfoLut::contains(const std::string& model,
                        SparsityPattern pattern) const
 {
-    return entries.count(TraceSet::makeKey(model, pattern)) > 0;
+    return find(model, pattern) != nullptr;
+}
+
+const ModelInfo*
+ModelInfoLut::find(const std::string& model,
+                   SparsityPattern pattern) const
+{
+    auto it = entries.find(TraceSet::makeKey(model, pattern));
+    return it == entries.end() ? nullptr : &it->second;
 }
 
 const ModelInfo&
 ModelInfoLut::lookup(const std::string& model,
                      SparsityPattern pattern) const
 {
-    auto it = entries.find(TraceSet::makeKey(model, pattern));
-    fatalIf(it == entries.end(),
-            "ModelInfoLut: no entry for " +
-                TraceSet::makeKey(model, pattern));
-    return it->second;
+    const ModelInfo* info = find(model, pattern);
+    if (info == nullptr)
+        fatal("ModelInfoLut: no entry for " +
+              TraceSet::makeKey(model, pattern));
+    return *info;
+}
+
+void
+ModelInfoLut::resolve(Request& req) const
+{
+    req.infoLut = this;
+    req.info = find(req.modelName, req.pattern);
+}
+
+const ModelInfo&
+ModelInfoLut::entryFor(const Request& req) const
+{
+    if (req.infoLut == this && req.info != nullptr)
+        return *req.info;
+    return lookup(req.modelName, req.pattern);
 }
 
 } // namespace dysta

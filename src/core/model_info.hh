@@ -19,6 +19,8 @@
 
 namespace dysta {
 
+struct Request;
+
 /** One LUT entry: offline averages for a model-pattern pair. */
 struct ModelInfo
 {
@@ -56,6 +58,20 @@ class ModelInfoLut
     /** Fetch an entry; fatal() when missing (unprofiled model). */
     const ModelInfo& lookup(const std::string& model,
                             SparsityPattern pattern) const;
+
+    /** Fetch an entry; nullptr when missing. */
+    const ModelInfo* find(const std::string& model,
+                          SparsityPattern pattern) const;
+
+    /** Cache this table's entry for `req` in the request itself. */
+    void resolve(Request& req) const;
+
+    /**
+     * The entry for `req`: the cached one when `req` was resolved
+     * against this table, else lookup() — so the answer never
+     * depends on which table resolved the request.
+     */
+    const ModelInfo& entryFor(const Request& req) const;
 
     size_t size() const { return entries.size(); }
 

@@ -16,6 +16,9 @@
 
 namespace dysta {
 
+struct ModelInfo;
+class ModelInfoLut;
+
 /** One inference request plus its engine-side execution state. */
 struct Request
 {
@@ -25,6 +28,16 @@ struct Request
 
     /** Ground-truth execution record (not owned). */
     const SampleTrace* trace = nullptr;
+
+    /**
+     * LUT entry of (modelName, pattern) and the table it came from,
+     * resolved once per request by ModelInfoLut::resolve (the
+     * simulation core does it on arrival) so latency estimates skip
+     * the string-keyed lookup. Estimators over any other table
+     * ignore it. `info` is nullptr when the table has no entry.
+     */
+    const ModelInfoLut* infoLut = nullptr;
+    const ModelInfo* info = nullptr;
 
     /** Arrival time (seconds). */
     double arrival = 0.0;

@@ -7,7 +7,7 @@ namespace dysta {
 Request*
 Scheduler::pickNext(const std::vector<Request*>& ready, double now)
 {
-    std::vector<const Request*> view(ready.begin(), ready.end());
+    view.assign(ready.begin(), ready.end());
     size_t pick = selectNext(view, now);
     panicIf(pick >= ready.size(),
             "Scheduler: scheduler returned invalid index");

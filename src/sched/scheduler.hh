@@ -133,6 +133,10 @@ class Scheduler
 
     /** Estimator owned by this policy (may be null). */
     std::unique_ptr<LatencyEstimator> est;
+
+  private:
+    /** pickNext's candidate view, reused so a decision allocates nothing. */
+    std::vector<const Request*> view;
 };
 
 } // namespace dysta

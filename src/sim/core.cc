@@ -108,6 +108,12 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
     auto pushArrival = [&](Request* req) {
         panicIf(req->trace == nullptr || req->trace->layers.empty(),
                 "runSimulation: request without a trace");
+        if (cfg.lut != nullptr) {
+            cfg.lut->resolve(*req);
+        } else {
+            req->infoLut = nullptr;
+            req->info = nullptr;
+        }
         SimEvent ev;
         ev.time = req->arrival;
         ev.kind = SimEventKind::Arrival;

@@ -102,7 +102,10 @@ struct SimConfig
     /**
      * LUT backing the default admission estimator (not owned).
      * Required when admission is enabled and no explicit
-     * `admissionEstimator` is given; unused otherwise.
+     * `admissionEstimator` is given. When set, every arriving
+     * request's entry is resolved against it once
+     * (ModelInfoLut::resolve), so estimators over this table answer
+     * without a string-keyed lookup.
      */
     const ModelInfoLut* lut = nullptr;
     /**

@@ -63,7 +63,21 @@ void inform(const std::string& msg);
 inline void
 panicIf(bool cond, const std::string& msg)
 {
-    if (cond)
+    if (__builtin_expect(cond, 0))
+        panic(msg);
+}
+
+/**
+ * Literal-message form: the std::string is built only when the check
+ * fires, so a passing check costs one predicted branch. A message that
+ * concatenates runtime values cannot use it — the concatenation runs
+ * before the call — so such checks belong inside an explicit
+ * `if (cond) panic(a + b);`.
+ */
+inline void
+panicIf(bool cond, const char* msg)
+{
+    if (__builtin_expect(cond, 0))
         panic(msg);
 }
 
@@ -71,7 +85,15 @@ panicIf(bool cond, const std::string& msg)
 inline void
 fatalIf(bool cond, const std::string& msg)
 {
-    if (cond)
+    if (__builtin_expect(cond, 0))
+        fatal(msg);
+}
+
+/** Literal-message form of fatalIf; see panicIf(bool, const char*). */
+inline void
+fatalIf(bool cond, const char* msg)
+{
+    if (__builtin_expect(cond, 0))
         fatal(msg);
 }
 

@@ -76,6 +76,33 @@ TEST(Detlint, UninitMember)
     expectPair("uninit_member", "uninit-member");
 }
 TEST(Detlint, StdoutPrint) { expectPair("stdout_print", "stdout-print"); }
+TEST(Detlint, EagerCheckMessage)
+{
+    expectPair("eager_check_message", "eager-check-message");
+    // One finding per concatenated message, the multi-line call
+    // reported at the line naming the check.
+    LintRun bad =
+        runDetlint(fixture("eager_check_message/src/sim/bad.cc"));
+    for (const char* at : {"bad.cc:9:", "bad.cc:10:", "bad.cc:12:"})
+        EXPECT_NE(bad.output.find(at), std::string::npos) << bad.output;
+}
+
+TEST(Detlint, EagerCheckMessageOnlyAppliesToPerEventCode)
+{
+    // The rule covers src/{sim,sched,core}; configuration parsing
+    // elsewhere may keep the one-line form.
+    std::ifstream in(fixture("eager_check_message/src/sim/bad.cc"));
+    ASSERT_TRUE(in.good());
+    std::stringstream ss;
+    ss << in.rdbuf();
+    std::string tmp = ::testing::TempDir() + "neutral_eager_check.cc";
+    std::ofstream out(tmp);
+    out << ss.str();
+    out.close();
+    LintRun run = runDetlint(tmp);
+    EXPECT_EQ(run.exitCode, 0) << run.output;
+    std::remove(tmp.c_str());
+}
 
 TEST(Detlint, WallClockOnlyAppliesToDeterministicPaths)
 {
@@ -144,8 +171,8 @@ TEST(Detlint, ListRulesNamesEveryRule)
     EXPECT_EQ(run.exitCode, 0);
     for (const char* rule :
          {"wall-clock", "raw-rand", "unordered-iter", "pointer-compare",
-          "uninit-member", "stdout-print", "bad-suppression",
-          "unused-suppression"}) {
+          "uninit-member", "stdout-print", "eager-check-message",
+          "bad-suppression", "unused-suppression"}) {
         EXPECT_NE(run.output.find(rule), std::string::npos) << rule;
     }
 }

@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <tuple>
+#include <vector>
 
 #include "accel/eyeriss_v2.hh"
 #include "accel/sanger.hh"
@@ -18,6 +20,7 @@
 #include "exp/experiments.hh"
 #include "models/zoo.hh"
 #include "trace/profiler.hh"
+#include "util/rng.hh"
 #include "util/stats.hh"
 
 using namespace dysta;
@@ -217,6 +220,96 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return name;
     });
+
+/**
+ * The predictor's gamma recomputed from the full observation history,
+ * the way the strategies are defined (Sec. 5.1, Table 4).
+ */
+double
+rescanGamma(const ModelInfo& info, const PredictorConfig& cfg,
+            const std::vector<size_t>& layers,
+            const std::vector<double>& sparsities)
+{
+    if (layers.empty())
+        return 1.0;
+    auto density = [](double s) { return std::clamp(1.0 - s, 1e-3, 1.0); };
+    auto clampG = [&](double g) {
+        return std::clamp(g, cfg.gammaMin, cfg.gammaMax);
+    };
+    double base_last = density(info.avgLayerSparsity[layers.back()]);
+    switch (cfg.strategy) {
+      case PredictorStrategy::AverageAll: {
+        double obs = 0.0;
+        for (double s : sparsities)
+            obs += density(s);
+        obs /= static_cast<double>(sparsities.size());
+        return clampG(obs / density(info.avgNetworkSparsity));
+      }
+      case PredictorStrategy::LastN: {
+        size_t n = std::min<size_t>(cfg.lastN, sparsities.size());
+        double obs = 0.0;
+        for (size_t k = sparsities.size() - n; k < sparsities.size(); ++k)
+            obs += density(sparsities[k]);
+        obs /= static_cast<double>(n);
+        return clampG(obs / base_last);
+      }
+      case PredictorStrategy::LastOne:
+        return clampG(density(sparsities.back()) / base_last);
+      case PredictorStrategy::Ema: {
+        double g = 1.0;
+        for (size_t k = 0; k < sparsities.size(); ++k) {
+            double ratio = density(sparsities[k]) /
+                           density(info.avgLayerSparsity[layers[k]]);
+            g = (1.0 - cfg.emaWeight) * g + cfg.emaWeight * ratio;
+        }
+        return clampG(g);
+      }
+    }
+    return 0.0;
+}
+
+TEST(PredictorState, IncrementalGammaMatchesHistoryRescanBitForBit)
+{
+    // Observations are folded into O(1) state as they arrive; every
+    // strategy must still reproduce the full-history definition
+    // exactly, across resets and window sizes.
+    ModelInfo info;
+    info.model = "m";
+    const size_t layers = 24;
+    Rng rng(11);
+    for (size_t l = 0; l < layers; ++l) {
+        info.avgLayerLatency.push_back(0.01);
+        info.avgLayerSparsity.push_back(rng.uniform(0.05, 0.95));
+    }
+    info.avgNetworkSparsity = 0.47;
+    for (PredictorStrategy strategy :
+         {PredictorStrategy::AverageAll, PredictorStrategy::LastN,
+          PredictorStrategy::LastOne, PredictorStrategy::Ema}) {
+        for (int last_n : {1, 3, 7}) {
+            PredictorConfig cfg;
+            cfg.strategy = strategy;
+            cfg.lastN = last_n;
+            SparseLatencyPredictor pred(info, cfg);
+            for (int round = 0; round < 2; ++round) {
+                pred.reset();
+                std::vector<size_t> seen_layers;
+                std::vector<double> seen;
+                EXPECT_EQ(pred.gamma(), 1.0);
+                for (size_t l = 0; l < layers; ++l) {
+                    double s = rng.uniform(0.0, 1.0);
+                    pred.observe(l, s);
+                    seen_layers.push_back(l);
+                    seen.push_back(s);
+                    ASSERT_EQ(pred.gamma(),
+                              rescanGamma(info, cfg, seen_layers, seen))
+                        << toString(strategy) << " lastN=" << last_n
+                        << " after " << seen.size() << " observations";
+                    EXPECT_EQ(pred.observations(), seen.size());
+                }
+            }
+        }
+    }
+}
 
 // --- Oracle dominance across seeds ---
 

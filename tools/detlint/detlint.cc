@@ -82,6 +82,11 @@ const RuleInfo kRules[] = {
      "src/ except src/tools/",
      "library code must not write to stdout (printf/std::cout/puts); "
      "presentation belongs to tools, benches and examples"},
+    {"eager-check-message",
+     "src/{sim,sched,core}",
+     "panicIf/fatalIf message built by concatenation (+, to_string) "
+     "allocates on every passing check; write "
+     "`if (cond) panic(a + b);` instead"},
     {"bad-suppression",
      "everywhere",
      "detlint-allow comment without a ': justification' clause"},
@@ -871,6 +876,68 @@ void ruleStdoutPrint(const FileScan& f, std::vector<Finding>& out)
     }
 }
 
+/**
+ * panicIf(cond, msg)/fatalIf(cond, msg) evaluate `msg` before testing
+ * `cond`, so a concatenated message builds (and frees) a std::string
+ * on every passing check. Literal messages bind the const char*
+ * overloads and cost nothing. Scoped to the per-event code.
+ */
+void ruleEagerCheckMessage(const FileScan& f, std::vector<Finding>& out)
+{
+    if (!pathContains(f.path, "src/sim/") &&
+        !pathContains(f.path, "src/sched/") &&
+        !pathContains(f.path, "src/core/"))
+        return;
+    std::string joined;
+    std::vector<size_t> lineOf; // char offset -> line index
+    for (size_t i = 0; i < f.code.size(); ++i) {
+        for (size_t c = 0; c <= f.code[i].size(); ++c)
+            lineOf.push_back(i);
+        joined += f.code[i];
+        joined += '\n';
+    }
+    for (const char* check : {"panicIf", "fatalIf"}) {
+        for (size_t pos = joined.find(check); pos != std::string::npos;
+             pos = joined.find(check, pos + 1)) {
+            if (!isCallAt(joined, pos, check))
+                continue;
+            // Split the argument list at its first top-level comma;
+            // everything after it up to the closing paren is `msg`.
+            size_t open = joined.find('(', pos);
+            int depth = 0;
+            size_t comma = std::string::npos;
+            size_t close = open;
+            for (; close < joined.size(); ++close) {
+                char c = joined[close];
+                if (c == '(' || c == '[' || c == '{') {
+                    ++depth;
+                } else if (c == ')' || c == ']' || c == '}') {
+                    if (--depth == 0)
+                        break;
+                } else if (c == ',' && depth == 1 &&
+                           comma == std::string::npos) {
+                    comma = close;
+                }
+            }
+            if (comma == std::string::npos || close >= joined.size())
+                continue;
+            std::string msg = joined.substr(comma + 1, close - comma - 1);
+            if (msg.find('+') != std::string::npos ||
+                containsWord(msg, "to_string")) {
+                out.push_back({f.path, lineOf[pos] + 1,
+                               "eager-check-message",
+                               std::string(check) +
+                                   " message is concatenated before the "
+                                   "condition is tested, allocating on "
+                                   "every passing check; write `if "
+                                   "(cond) " +
+                                   (check[0] == 'p' ? "panic" : "fatal") +
+                                   "(a + b);`"});
+            }
+        }
+    }
+}
+
 // --- driver -----------------------------------------------------------------
 
 std::string jsonEscape(const std::string& s)
@@ -1020,6 +1087,7 @@ int main(int argc, char** argv)
         rulePointerCompare(f, found);
         ruleUninitMember(f, found);
         ruleStdoutPrint(f, found);
+        ruleEagerCheckMessage(f, found);
 
         // Apply suppressions: an allow comment covers a finding on its
         // own line, or on the first code line below it when the

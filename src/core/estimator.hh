@@ -90,9 +90,9 @@ class LatencyEstimator
 
 /**
  * Static LUT estimator: the profiled average latency of the layers
- * still ahead (Sec. 4.1). Stateless: the LUT entry comes from the
- * request's resolved cache (ModelInfoLut::entryFor), so a query
- * hashes no (model, pattern) string key.
+ * still ahead (Sec. 4.1). Stateless: ModelInfoLut::entryFor caches
+ * the LUT entry in the request, so a query after the first hashes no
+ * (model, pattern) string key.
  */
 class LutEstimator : public LatencyEstimator
 {

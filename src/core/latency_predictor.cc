@@ -40,8 +40,11 @@ SparseLatencyPredictor::SparseLatencyPredictor(const ModelInfo& model,
     fatalIf(cfg.lastN < 1, "SparseLatencyPredictor: lastN must be >= 1");
     fatalIf(cfg.emaWeight <= 0.0 || cfg.emaWeight > 1.0,
             "SparseLatencyPredictor: emaWeight must be in (0, 1]");
+    // The window grows with the observations, which never outnumber
+    // the layers in a single pass, so a large lastN costs nothing.
     if (cfg.strategy == PredictorStrategy::LastN)
-        window.resize(static_cast<size_t>(cfg.lastN));
+        window.reserve(std::min(static_cast<size_t>(cfg.lastN),
+                                info->avgLayerSparsity.size()));
 }
 
 namespace {
@@ -70,7 +73,10 @@ SparseLatencyPredictor::observe(size_t layer, double monitored_sparsity)
         densitySum += d;
         break;
       case PredictorStrategy::LastN:
-        window[count % window.size()] = d;
+        if (window.size() < static_cast<size_t>(cfg.lastN))
+            window.push_back(d);
+        else
+            window[count % window.size()] = d;
         break;
       case PredictorStrategy::LastOne:
         break;
@@ -111,7 +117,7 @@ SparseLatencyPredictor::gamma() const
         // current layer's LUT entry only (Alg. 3 fetches S_avg(i,j)):
         // mixing layer types into the numerator is what degrades
         // this strategy in Table 4. Summed oldest first.
-        size_t n = std::min(window.size(), count);
+        size_t n = window.size();
         double obs = 0.0;
         for (size_t k = count - n; k < count; ++k)
             obs += window[k % window.size()];
@@ -150,6 +156,7 @@ SparseLatencyPredictor::reset()
     lastDensity = 0.0;
     densitySum = 0.0;
     ema = 1.0;
+    window.clear();
 }
 
 } // namespace dysta

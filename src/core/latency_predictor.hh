@@ -71,9 +71,10 @@ struct PredictorConfig
 /**
  * Per-request online latency predictor. Each observation is folded
  * into the active strategy's O(1) state as it arrives (a running
- * density sum, an N-entry window, the EMA value, the last sample),
- * in the order a rescan of the full history would add them, so
- * gamma() is O(1) (O(N) for last-N) and bit-identical to the rescan.
+ * density sum, a window of at most N entries, the EMA value, the
+ * last sample), in the order a rescan of the full history would add
+ * them, so gamma() is O(1) (O(N) for last-N) and bit-identical to the
+ * rescan.
  */
 class SparseLatencyPredictor
 {
@@ -113,7 +114,7 @@ class SparseLatencyPredictor
     double densitySum = 0.0;
     /** Ema: the moving average, seeded at the prior gamma = 1. */
     double ema = 1.0;
-    /** LastN: ring of the latest lastN densities. */
+    /** LastN: ring of the latest min(lastN, count) densities. */
     std::vector<double> window;
 
     double clampGamma(double g) const;

@@ -52,41 +52,28 @@ bool
 ModelInfoLut::contains(const std::string& model,
                        SparsityPattern pattern) const
 {
-    return find(model, pattern) != nullptr;
-}
-
-const ModelInfo*
-ModelInfoLut::find(const std::string& model,
-                   SparsityPattern pattern) const
-{
-    auto it = entries.find(TraceSet::makeKey(model, pattern));
-    return it == entries.end() ? nullptr : &it->second;
+    return entries.count(TraceSet::makeKey(model, pattern)) > 0;
 }
 
 const ModelInfo&
 ModelInfoLut::lookup(const std::string& model,
                      SparsityPattern pattern) const
 {
-    const ModelInfo* info = find(model, pattern);
-    if (info == nullptr)
+    auto it = entries.find(TraceSet::makeKey(model, pattern));
+    if (it == entries.end())
         fatal("ModelInfoLut: no entry for " +
               TraceSet::makeKey(model, pattern));
-    return *info;
-}
-
-void
-ModelInfoLut::resolve(Request& req) const
-{
-    req.infoLut = this;
-    req.info = find(req.modelName, req.pattern);
+    return it->second;
 }
 
 const ModelInfo&
 ModelInfoLut::entryFor(const Request& req) const
 {
-    if (req.infoLut == this && req.info != nullptr)
-        return *req.info;
-    return lookup(req.modelName, req.pattern);
+    if (req.infoLut != this) {
+        req.info = &lookup(req.modelName, req.pattern);
+        req.infoLut = this;
+    }
+    return *req.info;
 }
 
 } // namespace dysta

@@ -59,17 +59,11 @@ class ModelInfoLut
     const ModelInfo& lookup(const std::string& model,
                             SparsityPattern pattern) const;
 
-    /** Fetch an entry; nullptr when missing. */
-    const ModelInfo* find(const std::string& model,
-                          SparsityPattern pattern) const;
-
-    /** Cache this table's entry for `req` in the request itself. */
-    void resolve(Request& req) const;
-
     /**
-     * The entry for `req`: the cached one when `req` was resolved
-     * against this table, else lookup() — so the answer never
-     * depends on which table resolved the request.
+     * The entry of `req`'s (model, pattern). The first query against
+     * this table caches the entry in the request (Request::info), so
+     * later queries hash no string key; a query against any other
+     * table re-resolves.
      */
     const ModelInfo& entryFor(const Request& req) const;
 

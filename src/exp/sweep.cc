@@ -77,7 +77,6 @@ runSweepCell(const BenchContext& ctx, const SweepCell& cell)
     ecfg.layerBlockSize = cell.layerBlockSize;
     ecfg.telemetry = sink;
     ecfg.calendar = cell.calendar;
-    ecfg.lut = &ctx.lut;
     ecfg.metricsKind = cell.metricsKind;
     SchedulerEngine engine(ecfg);
     EngineResult r;

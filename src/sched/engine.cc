@@ -28,7 +28,6 @@ toSimConfig(const EngineConfig& cfg)
     sim.recordEvents = cfg.recordEvents;
     sim.telemetry = cfg.telemetry;
     sim.calendar = cfg.calendar;
-    sim.lut = cfg.lut;
     sim.metricsKind = cfg.metricsKind;
     return sim;
 }

@@ -63,8 +63,6 @@ struct EngineConfig
     Telemetry* telemetry = nullptr;
     /** Calendar implementation (see SimConfig::calendar). */
     CalendarKind calendar = CalendarKind::Heap;
-    /** LUT requests are resolved against (see SimConfig::lut). */
-    const ModelInfoLut* lut = nullptr;
     /**
      * Metrics accumulation of the streaming run overload (see
      * SimConfig::metricsKind); ignored by the vector overload.

@@ -30,14 +30,12 @@ struct Request
     const SampleTrace* trace = nullptr;
 
     /**
-     * LUT entry of (modelName, pattern) and the table it came from,
-     * resolved once per request by ModelInfoLut::resolve (the
-     * simulation core does it on arrival) so latency estimates skip
-     * the string-keyed lookup. Estimators over any other table
-     * ignore it. `info` is nullptr when the table has no entry.
+     * LUT entry of (modelName, pattern) and the table it came from:
+     * a cache filled by ModelInfoLut::entryFor on the first query, so
+     * later latency estimates skip the string-keyed lookup.
      */
-    const ModelInfoLut* infoLut = nullptr;
-    const ModelInfo* info = nullptr;
+    mutable const ModelInfoLut* infoLut = nullptr;
+    mutable const ModelInfo* info = nullptr;
 
     /** Arrival time (seconds). */
     double arrival = 0.0;

@@ -108,12 +108,6 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
     auto pushArrival = [&](Request* req) {
         panicIf(req->trace == nullptr || req->trace->layers.empty(),
                 "runSimulation: request without a trace");
-        if (cfg.lut != nullptr) {
-            cfg.lut->resolve(*req);
-        } else {
-            req->infoLut = nullptr;
-            req->info = nullptr;
-        }
         SimEvent ev;
         ev.time = req->arrival;
         ev.kind = SimEventKind::Arrival;
@@ -936,6 +930,10 @@ runSimulation(const SimConfig& cfg, std::vector<Request>& requests,
         req.isHedgeClone = false;
         req.lastNode = -1;
         req.nodeEnqueueTime = 0.0;
+        // The LUT of an earlier run may be gone and its address
+        // reused by another table.
+        req.infoLut = nullptr;
+        req.info = nullptr;
     }
 
     MaterializedSource source(requests);

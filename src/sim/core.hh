@@ -102,10 +102,7 @@ struct SimConfig
     /**
      * LUT backing the default admission estimator (not owned).
      * Required when admission is enabled and no explicit
-     * `admissionEstimator` is given. When set, every arriving
-     * request's entry is resolved against it once
-     * (ModelInfoLut::resolve), so estimators over this table answer
-     * without a string-keyed lookup.
+     * `admissionEstimator` is given; unused otherwise.
      */
     const ModelInfoLut* lut = nullptr;
     /**

@@ -3,10 +3,12 @@
  * Allocation budget of the per-event path.
  *
  * This binary replaces the global operator new with a counting one, so
- * it must stay its own test executable. It pins two properties:
+ * it must stay its own test executable. It pins three properties:
  *  - a passing panicIf/fatalIf with a literal message allocates
  *    nothing (the const char* overloads build the std::string only
  *    when the check fires);
+ *  - the LastN predictor window holds what was observed, not lastN
+ *    slots reserved up front;
  *  - a streaming megascale-shaped run allocates less than once per
  *    simulated event. The budget is measured as the growth between
  *    two request counts, so context, fleet and calendar set-up cancel
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "api/scenario.hh"
+#include "core/latency_predictor.hh"
 #include "exp/experiments.hh"
 #include "exp/sweep.hh"
 #include "util/logging.hh"
@@ -30,6 +33,7 @@
 namespace {
 
 std::atomic<size_t> g_allocations{0};
+std::atomic<size_t> g_bytes{0};
 
 } // namespace
 
@@ -37,6 +41,7 @@ void*
 operator new(std::size_t size)
 {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_bytes.fetch_add(size, std::memory_order_relaxed);
     if (void* p = std::malloc(size == 0 ? 1 : size))
         return p;
     throw std::bad_alloc();
@@ -82,6 +87,12 @@ allocations()
     return g_allocations.load(std::memory_order_relaxed);
 }
 
+size_t
+bytesAllocated()
+{
+    return g_bytes.load(std::memory_order_relaxed);
+}
+
 // Read through a volatile so the checks cannot be folded away.
 volatile bool g_false = false;
 
@@ -114,6 +125,28 @@ TEST(AllocBudget, FiringLiteralCheckKeepsItsMessage)
         EXPECT_STREQ(err.what(), "ModelInfoLut: no entry for bert/dense");
     }
     setFatalThrows(prev);
+}
+
+TEST(AllocBudget, LastNWindowIsBoundedByTheObservations)
+{
+    // lastN is a scenario parameter with no upper bound; the window
+    // must hold only what was observed, not lastN slots up front.
+    ModelInfo info;
+    info.model = "m";
+    for (int l = 0; l < 8; ++l) {
+        info.avgLayerLatency.push_back(0.01);
+        info.avgLayerSparsity.push_back(0.5);
+    }
+    info.avgNetworkSparsity = 0.5;
+    PredictorConfig cfg;
+    cfg.strategy = PredictorStrategy::LastN;
+    cfg.lastN = 1000000;
+    size_t before = bytesAllocated();
+    SparseLatencyPredictor pred(info, cfg);
+    for (size_t l = 0; l < info.avgLayerSparsity.size(); ++l)
+        pred.observe(l, 0.25);
+    EXPECT_GT(pred.gamma(), 0.0);
+    EXPECT_LT(bytesAllocated() - before, 1024u);
 }
 
 struct RunCost

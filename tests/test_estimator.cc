@@ -77,6 +77,22 @@ TEST(LutEstimator, QueriesWorkWithAndWithoutTracking)
     EXPECT_DOUBLE_EQ(lut.remaining(req), untracked);
 }
 
+TEST(LutEstimator, EachTableAnswersFromItsOwnEntries)
+{
+    // A request caches its LUT entry on the first query; a query
+    // against another table with the same key must not reuse it.
+    World fast, slow;
+    fast.addModel("a", {0.1, 0.2}, {0.5, 0.5});
+    slow.addModel("a", {1.0, 2.0}, {0.5, 0.5});
+    Request req = fast.request(0, "a", 0.0);
+
+    LutEstimator on_fast(fast.lut);
+    LutEstimator on_slow(slow.lut);
+    EXPECT_DOUBLE_EQ(on_fast.isolated(req), 0.3);
+    EXPECT_DOUBLE_EQ(on_slow.isolated(req), 3.0);
+    EXPECT_DOUBLE_EQ(on_fast.remaining(req), 0.3);
+}
+
 TEST(LutEstimator, ErrorAgainstOracleBoundedBySampleSpread)
 {
     // LUT averages over a pool whose samples deviate +/- 20% from

@@ -272,7 +272,8 @@ TEST(PredictorState, IncrementalGammaMatchesHistoryRescanBitForBit)
 {
     // Observations are folded into O(1) state as they arrive; every
     // strategy must still reproduce the full-history definition
-    // exactly, across resets and window sizes.
+    // exactly, across resets and window sizes, including a window
+    // wider than the model.
     ModelInfo info;
     info.model = "m";
     const size_t layers = 24;
@@ -285,7 +286,7 @@ TEST(PredictorState, IncrementalGammaMatchesHistoryRescanBitForBit)
     for (PredictorStrategy strategy :
          {PredictorStrategy::AverageAll, PredictorStrategy::LastN,
           PredictorStrategy::LastOne, PredictorStrategy::Ema}) {
-        for (int last_n : {1, 3, 7}) {
+        for (int last_n : {1, 3, 7, 1000}) {
             PredictorConfig cfg;
             cfg.strategy = strategy;
             cfg.lastN = last_n;

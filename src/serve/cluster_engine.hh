@@ -24,8 +24,8 @@
 #include <vector>
 
 #include "serve/dispatcher.hh"
-#include "serve/node.hh"
 #include "sim/core.hh"
+#include "sim/node.hh"
 
 namespace dysta {
 

@@ -9,7 +9,7 @@ namespace dysta {
 size_t
 RoundRobinDispatcher::selectNode(
     const Request& req,
-    const std::vector<std::unique_ptr<ServeNode>>& nodes, double now)
+    const std::vector<std::unique_ptr<SimNode>>& nodes, double now)
 {
     (void)req;
     (void)now;
@@ -27,7 +27,7 @@ RoundRobinDispatcher::selectNode(
 size_t
 LeastOutstandingDispatcher::selectNode(
     const Request& req,
-    const std::vector<std::unique_ptr<ServeNode>>& nodes, double now)
+    const std::vector<std::unique_ptr<SimNode>>& nodes, double now)
 {
     (void)req;
     (void)now;
@@ -65,7 +65,7 @@ EstimatorDispatcher::reset()
 }
 
 void
-EstimatorDispatcher::onLayerComplete(const ServeNode& node,
+EstimatorDispatcher::onLayerComplete(const SimNode& node,
                                      const Request& req, double now,
                                      double monitored_sparsity)
 {
@@ -75,7 +75,7 @@ EstimatorDispatcher::onLayerComplete(const ServeNode& node,
 }
 
 void
-EstimatorDispatcher::onComplete(const ServeNode& node,
+EstimatorDispatcher::onComplete(const SimNode& node,
                                 const Request& req, double now)
 {
     (void)node;
@@ -121,7 +121,7 @@ LeastBacklogDispatcher::estRemaining(const Request& req) const
 }
 
 double
-LeastBacklogDispatcher::backlogEstimate(const ServeNode& node) const
+LeastBacklogDispatcher::backlogEstimate(const SimNode& node) const
 {
     double work = 0.0;
     for (const Request* req : node.queue())
@@ -132,7 +132,7 @@ LeastBacklogDispatcher::backlogEstimate(const ServeNode& node) const
 size_t
 LeastBacklogDispatcher::selectNode(
     const Request& req,
-    const std::vector<std::unique_ptr<ServeNode>>& nodes, double now)
+    const std::vector<std::unique_ptr<SimNode>>& nodes, double now)
 {
     (void)now;
     panicIf(nodes.empty(), "LeastBacklogDispatcher: no nodes");
@@ -183,13 +183,13 @@ CapabilityAwareDispatcher::viewFor(const NodeCapability& cap)
 }
 
 const ScaledEstimator&
-CapabilityAwareDispatcher::nodeView(const ServeNode& node)
+CapabilityAwareDispatcher::nodeView(const SimNode& node)
 {
     return viewFor(node.capability());
 }
 
 double
-CapabilityAwareDispatcher::backlogOn(const ServeNode& node)
+CapabilityAwareDispatcher::backlogOn(const SimNode& node)
 {
     const ScaledEstimator& view = nodeView(node);
     double work = 0.0;
@@ -201,7 +201,7 @@ CapabilityAwareDispatcher::backlogOn(const ServeNode& node)
 size_t
 CapabilityAwareDispatcher::selectNode(
     const Request& req,
-    const std::vector<std::unique_ptr<ServeNode>>& nodes, double now)
+    const std::vector<std::unique_ptr<SimNode>>& nodes, double now)
 {
     (void)now;
     panicIf(nodes.empty(), "CapabilityAwareDispatcher: no nodes");
@@ -243,7 +243,7 @@ WorkStealingDispatcher::WorkStealingDispatcher(
 
 std::vector<Migration>
 WorkStealingDispatcher::rebalance(
-    const std::vector<std::unique_ptr<ServeNode>>& nodes, double now)
+    const std::vector<std::unique_ptr<SimNode>>& nodes, double now)
 {
     (void)now;
     std::vector<Migration> moves;

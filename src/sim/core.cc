@@ -201,6 +201,17 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
         calendar->push(ev);
     };
 
+    // A block boundary on an idle node with queued work: start the
+    // next block, unless batch formation holds for more work while
+    // its delay window allows (the armed BatchRelease retries).
+    auto beginOrHold = [&](SimNode& node, double now) {
+        double release_at = 0.0;
+        if (node.batchShouldHold(now, &release_at))
+            pushBatchRelease(node, release_at);
+        else
+            pushLayerEnd(node, node.beginStep(now));
+    };
+
     size_t finished = 0;
     size_t shed_count = 0;
     bool decision_pending = false;
@@ -275,6 +286,19 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
             pushDecision(now);
     };
 
+    // Dissolve `req`'s hedge: its clone is pulled back from wherever
+    // it sits and recycled; `req` carries on alone.
+    auto dissolveHedge = [&](Request* req, double now) {
+        if (req->hedgePeer == nullptr)
+            return;
+        Request* clone = req->hedgePeer;
+        if (tele)
+            tele->hedgeCancel(*clone, clone->lastNode, now);
+        cancelCopy(clone, now);
+        dropClone(clone);
+        req->hedgePeer = nullptr;
+    };
+
     auto accountCompleted = [&](const Request& req) {
         if (cfg.hedge.enabled)
             hedge_lat.add(req.finishTime - req.arrival);
@@ -288,14 +312,7 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
     auto shedRequest = [&](Request* req, double now) {
         panicIf(req->isHedgeClone,
                 "runSimulation: tried to shed a hedge clone");
-        if (req->hedgePeer != nullptr) {
-            Request* clone = req->hedgePeer;
-            if (tele)
-                tele->hedgeCancel(*clone, clone->lastNode, now);
-            cancelCopy(clone, now);
-            dropClone(clone);
-            req->hedgePeer = nullptr;
-        }
+        dissolveHedge(req, now);
         ++req->cancelEpoch;
         req->shed = true;
         ++shed_count;
@@ -432,10 +449,11 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
 
     // Retire one completed logical request: resolve any hedge pair,
     // account it, give rebalancers a look, and hand the slot back to
-    // the source. Shared verbatim by the scalar and batch completion
-    // paths so batching cannot drift the retirement semantics.
+    // the source. Kept out of line: inlined into its one call site,
+    // this once-per-request body slows every event of the loop
+    // (about 5% on megascale).
     auto retireCompleted = [&](SimNode& node, Request* done,
-                               double now) {
+                               double now) __attribute__((noinline)) {
         // First completion of a hedged pair wins; the loser is
         // pulled back and only the primary is ever recorded/retired
         // as the logical request.
@@ -460,14 +478,7 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
             dropClone(done);
             logical = prim;
         } else {
-            if (done->hedgePeer != nullptr) {
-                Request* clone = done->hedgePeer;
-                if (tele)
-                    tele->hedgeCancel(*clone, clone->lastNode, now);
-                cancelCopy(clone, now);
-                dropClone(clone);
-                done->hedgePeer = nullptr;
-            }
+            dissolveHedge(done, now);
             ++done->cancelEpoch;
             dispatcher.onComplete(node, *done, now);
         }
@@ -575,19 +586,10 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
                 for (Request* req : displaced) {
                     if (req->isHedgeClone)
                         continue;
-                    if (req->hedgePeer != nullptr) {
-                        // Displaced primary with a live clone
-                        // elsewhere: dissolve the hedge before the
-                        // primary goes through the normal
-                        // restart/shed path.
-                        Request* clone = req->hedgePeer;
-                        if (tele)
-                            tele->hedgeCancel(*clone, clone->lastNode,
-                                              now);
-                        cancelCopy(clone, now);
-                        dropClone(clone);
-                        req->hedgePeer = nullptr;
-                    }
+                    // A live clone elsewhere dissolves before the
+                    // primary goes through the normal restart/shed
+                    // path.
+                    dissolveHedge(req, now);
                     bool started =
                         req == inflight || req->nextLayer > 0;
                     if (started &&
@@ -635,19 +637,7 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
                 if (node->state() == NodeState::Down ||
                     node->busy() || node->outstanding() == 0)
                     continue;
-                if (batch_on) {
-                    // Hold for more batchable work while the delay
-                    // window allows; the armed BatchRelease starts
-                    // the batch when it expires.
-                    double release_at = 0.0;
-                    if (node->batchShouldHold(now, &release_at)) {
-                        pushBatchRelease(*node, release_at);
-                        continue;
-                    }
-                    pushLayerEnd(*node, node->beginBatch(now));
-                    continue;
-                }
-                pushLayerEnd(*node, node->beginBlock(now));
+                beginOrHold(*node, now);
             }
             break;
           }
@@ -660,64 +650,29 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
                 break;
             }
 
-            if (batch_on) {
-                // One batch step ends: every member advanced its own
-                // next layer over the shared step window.
-                const Request* anchor = node.current();
-                if (cfg.recordEvents) {
-                    double lat = node.batchStepLatency();
-                    for (const Request* m : node.activeBatch())
-                        result.events.push_back({node.id(), m->id,
-                                                 m->nextLayer,
-                                                 now - lat, now});
-                }
-                std::vector<Request*> completed =
-                    node.completeBatchStep();
-                // The anchor drives the sparsity feedback, exactly
-                // as in the scalar path.
-                dispatcher.onLayerComplete(
-                    node, *anchor, now,
-                    node.lastMonitoredSparsity());
-                for (Request* done : completed)
-                    retireCompleted(node, done, now);
-
-                if (node.blockContinues()) {
-                    // Continuous batching: newly-queued work may join
-                    // the running batch at this layer boundary.
-                    node.batchJoin(now);
-                    pushLayerEnd(node, node.continueBatchStep(now));
-                } else if (node.outstanding() > 0) {
-                    double release_at = 0.0;
-                    if (node.batchShouldHold(now, &release_at))
-                        pushBatchRelease(node, release_at);
-                    else
-                        pushLayerEnd(node, node.beginBatch(now));
-                }
-                break;
-            }
-
-            const Request* req = node.current();
-            size_t layer_idx = req->nextLayer;
-
+            // One step ends: every member advanced its own next layer
+            // over the shared step window.
+            const Request* anchor = node.current();
             if (cfg.recordEvents) {
-                double lat = node.layerLatency(
-                    req->trace->layers[layer_idx]);
-                result.events.push_back({node.id(), req->id,
-                                         layer_idx, now - lat, now});
+                double lat = node.stepLatency();
+                for (const Request* m : node.stepMembers())
+                    result.events.push_back({node.id(), m->id,
+                                             m->nextLayer, now - lat,
+                                             now});
             }
-
-            Request* done = node.completeLayer();
-            dispatcher.onLayerComplete(node, *req, now,
+            const std::vector<Request*>& completed = node.completeStep();
+            // The anchor drives the sparsity feedback.
+            dispatcher.onLayerComplete(node, *anchor, now,
                                        node.lastMonitoredSparsity());
-            if (done != nullptr)
+            for (Request* done : completed)
                 retireCompleted(node, done, now);
 
             // Continue the non-preemptible block, or make a fresh
-            // dispatch decision at the block boundary.
+            // decision at the block boundary.
             if (node.blockContinues())
-                pushLayerEnd(node, node.continueBlock(now));
+                pushLayerEnd(node, node.continueStep(now));
             else if (node.outstanding() > 0)
-                pushLayerEnd(node, node.beginBlock(now));
+                beginOrHold(node, now);
             break;
           }
 
@@ -736,14 +691,7 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
             // copies (a timeout dissolves any hedge) and retry from
             // scratch while per-request attempts and the fleet-wide
             // retry budget allow, else shed.
-            if (req->hedgePeer != nullptr) {
-                Request* clone = req->hedgePeer;
-                if (tele)
-                    tele->hedgeCancel(*clone, clone->lastNode, now);
-                cancelCopy(clone, now);
-                dropClone(clone);
-                req->hedgePeer = nullptr;
-            }
+            dissolveHedge(req, now);
             cancelCopy(req, now);
             dispatcher.onCancel(*req, now);
             ++req->cancelEpoch;
@@ -809,11 +757,7 @@ runSimulationLoop(const SimConfig& cfg, ArrivalSource& source,
             if (node.state() == NodeState::Down || node.busy() ||
                 node.outstanding() == 0)
                 break; // the work started (or vanished) another way
-            double release_at = 0.0;
-            if (node.batchShouldHold(now, &release_at))
-                pushBatchRelease(node, release_at); // window moved
-            else
-                pushLayerEnd(node, node.beginBatch(now));
+            beginOrHold(node, now); // re-arms if the window moved
             break;
           }
         }

@@ -10,6 +10,15 @@
  * node, optionally behind SLO-aware admission control whose
  * estimates flow through the `LatencyEstimator` layer.
  *
+ * Nodes execute on one path, batched or not: a Decision (or a
+ * block boundary at LayerComplete) begins a step, and each
+ * LayerComplete finishes one, retires its finished members and
+ * either continues the block or begins the next one. Without
+ * dynamic batching a step holds one member, so it is exactly one
+ * layer of the block's anchor; with batching (`SimConfig::batching`)
+ * it holds up to `maxSize` and formation may wait on a
+ * `BatchRelease` event. The loop itself never branches on batching.
+ *
  * Both public engines are thin shims over this function:
  * `SchedulerEngine` (src/sched/engine.cc) runs it with one node and
  * a `SingleNodeDispatcher`; `ClusterEngine` (src/serve/) passes its

@@ -118,7 +118,7 @@ SimNode::fail(double now)
     blockOwner = nullptr;
     blockExecuted = 0;
     lastRun = nullptr;
-    batch.clear();
+    members.clear();
     return displaced;
 }
 
@@ -159,8 +159,8 @@ SimNode::removeQueued(Request* req, double now)
     panicIf(req == nullptr, "SimNode::removeQueued: null request");
     panicIf(req == running || req == blockOwner,
             "SimNode::removeQueued: request is in flight");
-    panicIf(inActiveBatch(req),
-            "SimNode::removeQueued: request is in a running batch");
+    panicIf(inStep(req),
+            "SimNode::removeQueued: request is in a running step");
     panicIf(req->nextLayer != 0,
             "SimNode::removeQueued: request already started");
     auto it = std::find(ready.begin(), ready.end(), req);
@@ -185,21 +185,21 @@ SimNode::cancel(Request* req, double now)
     if (req == running) {
         // Its layer is in flight: abandon it. The epoch bump stales
         // the pending layer-complete event, exactly like fail().
-        // With batching the anchor owns the step, so the whole batch
-        // loses it (members keep their progress in the ready queue).
+        // The anchor owns the step, so every member loses it (they
+        // keep their progress in the ready queue).
         running = nullptr;
         blockOwner = nullptr;
         blockExecuted = 0;
         lastRun = nullptr;
-        batch.clear();
+        members.clear();
         ++failEpoch;
         return CancelOutcome::Running;
     }
-    // A cancelled non-anchor member leaves its batch; an in-flight
+    // A cancelled non-anchor member leaves its step; an in-flight
     // step keeps its already-committed wall time.
-    auto bit = std::find(batch.begin(), batch.end(), req);
-    if (bit != batch.end())
-        batch.erase(bit);
+    auto mit = std::find(members.begin(), members.end(), req);
+    if (mit != members.end())
+        members.erase(mit);
     if (req == blockOwner) {
         // Between layers of its block (the caller cancels at layer
         // boundaries): release the block without touching the epoch.
@@ -211,116 +211,25 @@ SimNode::cancel(Request* req, double now)
     return CancelOutcome::Queued;
 }
 
-double
-SimNode::startLayer(double now)
+void
+SimNode::setBatching(const BatchConfig& cfg)
 {
-    const LayerTrace& layer =
-        blockOwner->trace->layers[blockOwner->nextLayer];
-    running = blockOwner;
-    layerEnd = now + layerLatency(layer);
-    if (telemetry)
-        telemetry->execStart(*blockOwner, nodeId,
-                             blockOwner->nextLayer, now);
-    return layerEnd;
-}
-
-double
-SimNode::beginBlock(double now)
-{
-    panicIf(busy(), "SimNode::beginBlock while busy");
-    panicIf(ready.empty(), "SimNode::beginBlock with empty queue");
-    panicIf(nodeState == NodeState::Down,
-            "SimNode::beginBlock on a failed node");
-
-    Request* pick = sched->pickNext(ready, now);
-    ++numDecisions;
-    // Containment for buggy pickNext overrides (e.g. a user heap
-    // that forgot to erase on completion): fail deterministically
-    // instead of indexing a finished trace.
-    panicIf(pick == nullptr || pick->done(),
-            "SimNode: scheduler returned an invalid request");
-    blockOwner = pick;
-    blockExecuted = 0;
-
-    if (lastRun != nullptr && blockOwner != lastRun &&
-        lastRun->nextLayer > 0 && !lastRun->done()) {
-        ++numPreemptions;
-        if (telemetry)
-            telemetry->preempt(*lastRun, nodeId, now);
-    }
-
-    return startLayer(now + prof.decisionOverheadSec);
-}
-
-Request*
-SimNode::completeLayer()
-{
-    panicIf(!busy(), "SimNode::completeLayer on idle node");
-    Request* req = running;
-    size_t layer_idx = req->nextLayer;
-    const LayerTrace& layer = req->trace->layers[layer_idx];
-
-    req->executedTime += layerLatency(layer);
-    ++req->nextLayer;
-    req->lastRunEnd = layerEnd;
-    lastSparsity = layer.monitoredSparsity;
-    ++blockExecuted;
-    running = nullptr;
-
-    sched->onLayerComplete(*req, layerEnd, layer.monitoredSparsity);
-    if (telemetry)
-        telemetry->layerComplete(*req, nodeId, layer_idx,
-                                 layerEnd - layerLatency(layer),
-                                 layerEnd, layer.monitoredSparsity);
-
-    if (req->done()) {
-        req->finishTime = layerEnd;
-        sched->onComplete(*req, layerEnd);
-        ready.erase(std::find(ready.begin(), ready.end(), req));
-        req->lastNode = -1;
-        ++numCompleted;
-        blockOwner = nullptr;
-        lastRun = nullptr;
-        if (telemetry)
-            telemetry->complete(*req, nodeId, ready.size(), layerEnd);
-        return req;
-    }
-    lastRun = req;
-    return nullptr;
+    batchCfg = cfg;
+    stepCap = cfg.enabled ? static_cast<size_t>(cfg.maxSize) : 1;
 }
 
 bool
-SimNode::blockContinues() const
-{
-    panicIf(busy(), "SimNode::blockContinues while busy");
-    size_t block = std::max<size_t>(1, prof.layerBlockSize);
-    return blockOwner != nullptr && !blockOwner->done() &&
-           blockExecuted < block;
-}
-
-double
-SimNode::continueBlock(double now)
-{
-    panicIf(!blockContinues(), "SimNode::continueBlock at boundary");
-    (void)now; // layers within a block run back to back
-    return startLayer(layerEnd);
-}
-
-// --- dynamic batching ------------------------------------------------
-
-bool
-SimNode::inActiveBatch(const Request* req) const
+SimNode::inStep(const Request* req) const
 {
     return running != nullptr &&
-           std::find(batch.begin(), batch.end(), req) != batch.end();
+           std::find(members.begin(), members.end(), req) !=
+               members.end();
 }
 
 bool
-SimNode::batchShouldHold(double now, double* release_at) const
+SimNode::holdUntil(double now, double* release_at) const
 {
-    if (!batchCfg.enabled || batchCfg.maxDelaySec <= 0.0)
-        return false;
-    if (ready.size() >= static_cast<size_t>(batchCfg.maxSize))
+    if (ready.size() >= stepCap)
         return false;
     double oldest = ready.front()->nodeEnqueueTime;
     for (const Request* r : ready)
@@ -332,21 +241,20 @@ SimNode::batchShouldHold(double now, double* release_at) const
 }
 
 /**
- * Fill the batch from the ready queue up to maxSize, ordered by the
- * composition policy. Candidate ranking consults the scheduler's own
- * estimator (sparsity-refined under Dysta); estimator-less policies
- * (FCFS) fall back to queue order for every composition.
+ * Fill the step from the ready queue up to the member cap, ordered
+ * by the composition policy. Candidate ranking consults the
+ * scheduler's own estimator (sparsity-refined under Dysta);
+ * estimator-less policies (FCFS) fall back to queue order for every
+ * composition. @pre members.size() < stepCap
  */
 void
 SimNode::composeBatch(double now, bool at_join)
 {
-    size_t cap = static_cast<size_t>(batchCfg.maxSize);
-    if (batch.size() >= cap)
-        return;
     std::vector<Request*> cand;
     cand.reserve(ready.size());
     for (Request* r : ready) {
-        if (std::find(batch.begin(), batch.end(), r) == batch.end())
+        if (std::find(members.begin(), members.end(), r) ==
+            members.end())
             cand.push_back(r);
     }
     if (cand.empty())
@@ -378,9 +286,9 @@ SimNode::composeBatch(double now, bool at_join)
     }
 
     for (Request* r : cand) {
-        if (batch.size() >= cap)
+        if (members.size() >= stepCap)
             break;
-        batch.push_back(r);
+        members.push_back(r);
         if (r->nextLayer == 0) {
             bstats.fillWaitSec += now - r->nodeEnqueueTime;
             ++bstats.fillWaitCount;
@@ -394,35 +302,44 @@ SimNode::composeBatch(double now, bool at_join)
 }
 
 double
-SimNode::startBatchStep(double now)
+SimNode::startStep(double start)
 {
-    double base = 0.0;
-    for (const Request* m : batch)
-        base = std::max(base,
-                        layerLatency(m->trace->layers[m->nextLayer]));
-    batchStepBase = base;
-    batchStepLat =
-        base * (1.0 + batchCfg.overhead *
-                          static_cast<double>(batch.size() - 1));
+    auto own = [this](const Request* m) {
+        return layerLatency(m->trace->layers[m->nextLayer]);
+    };
+    // The anchor seeds the max, so a lone member compares nothing.
+    double base = own(members[0]);
+    for (size_t i = 1; i < members.size(); ++i)
+        base = std::max(base, own(members[i]));
+    stepBase = base;
+    // A lone member pays no marginal-member overhead; skipping the
+    // multiply by exactly 1.0 changes no bit of the step time.
+    stepLat = members.size() == 1
+                  ? base
+                  : base * (1.0 + batchCfg.overhead *
+                                      static_cast<double>(
+                                          members.size() - 1));
     running = blockOwner;
-    layerEnd = now + batchStepLat;
+    layerEnd = start + stepLat;
     if (telemetry)
         telemetry->execStart(*blockOwner, nodeId,
-                             blockOwner->nextLayer, now);
+                             blockOwner->nextLayer, start);
     return layerEnd;
 }
 
 double
-SimNode::beginBatch(double now)
+SimNode::beginStep(double now)
 {
-    panicIf(busy(), "SimNode::beginBatch while busy");
-    panicIf(ready.empty(), "SimNode::beginBatch with empty queue");
+    panicIf(busy(), "SimNode::beginStep while busy");
+    panicIf(ready.empty(), "SimNode::beginStep with empty queue");
     panicIf(nodeState == NodeState::Down,
-            "SimNode::beginBatch on a failed node");
-    panicIf(!batchCfg.enabled, "SimNode::beginBatch without batching");
+            "SimNode::beginStep on a failed node");
 
     Request* pick = sched->pickNext(ready, now);
     ++numDecisions;
+    // Containment for buggy pickNext overrides (e.g. a user heap
+    // that forgot to erase on completion): fail deterministically
+    // instead of indexing a finished trace.
     panicIf(pick == nullptr || pick->done(),
             "SimNode: scheduler returned an invalid request");
     blockOwner = pick;
@@ -435,34 +352,35 @@ SimNode::beginBatch(double now)
             telemetry->preempt(*lastRun, nodeId, now);
     }
 
-    batch.clear();
-    batch.push_back(pick);
+    members.clear();
+    members.push_back(pick);
     if (pick->nextLayer == 0) {
         bstats.fillWaitSec += now - pick->nodeEnqueueTime;
         ++bstats.fillWaitCount;
     }
-    composeBatch(now, false);
+    if (members.size() < stepCap)
+        composeBatch(now, false);
     ++bstats.formed;
-    if (telemetry)
-        telemetry->batchForm(*pick, nodeId, batch.size(), now);
-    return startBatchStep(now + prof.decisionOverheadSec);
+    if (telemetry && batchCfg.enabled)
+        telemetry->batchForm(*pick, nodeId, members.size(), now);
+    return startStep(now + prof.decisionOverheadSec);
 }
 
-std::vector<Request*>
-SimNode::completeBatchStep()
+const std::vector<Request*>&
+SimNode::completeStep()
 {
-    panicIf(!busy(), "SimNode::completeBatchStep on idle node");
+    panicIf(!busy(), "SimNode::completeStep on idle node");
     running = nullptr;
     ++blockExecuted;
     ++bstats.steps;
-    bstats.memberSteps += batch.size();
+    bstats.memberSteps += members.size();
 
-    std::vector<Request*> completed;
-    for (Request* m : batch) {
+    finished.clear();
+    for (Request* m : members) {
         size_t layer_idx = m->nextLayer;
         const LayerTrace& layer = m->trace->layers[layer_idx];
         double own = layerLatency(layer);
-        bstats.stragglerTaxSec += batchStepBase - own;
+        bstats.stragglerTaxSec += stepBase - own;
         m->executedTime += own;
         ++m->nextLayer;
         m->lastRunEnd = layerEnd;
@@ -471,17 +389,16 @@ SimNode::completeBatchStep()
         sched->onLayerComplete(*m, layerEnd, layer.monitoredSparsity);
         if (telemetry)
             telemetry->layerComplete(*m, nodeId, layer_idx,
-                                     layerEnd - batchStepLat,
-                                     layerEnd,
+                                     layerEnd - stepLat, layerEnd,
                                      layer.monitoredSparsity);
         if (m->done())
-            completed.push_back(m);
+            finished.push_back(m);
     }
-    for (Request* m : completed) {
+    for (Request* m : finished) {
         m->finishTime = layerEnd;
         sched->onComplete(*m, layerEnd);
         ready.erase(std::find(ready.begin(), ready.end(), m));
-        batch.erase(std::find(batch.begin(), batch.end(), m));
+        members.erase(std::find(members.begin(), members.end(), m));
         m->lastNode = -1;
         ++numCompleted;
         if (telemetry)
@@ -493,24 +410,27 @@ SimNode::completeBatchStep()
     } else {
         lastRun = blockOwner;
     }
-    return completed;
+    return finished;
 }
 
-void
-SimNode::batchJoin(double now)
+bool
+SimNode::blockContinues() const
 {
-    panicIf(busy(), "SimNode::batchJoin while busy");
-    panicIf(!blockContinues(), "SimNode::batchJoin at block boundary");
-    composeBatch(now, true);
+    panicIf(busy(), "SimNode::blockContinues while busy");
+    size_t block = std::max<size_t>(1, prof.layerBlockSize);
+    return blockOwner != nullptr && !blockOwner->done() &&
+           blockExecuted < block;
 }
 
 double
-SimNode::continueBatchStep(double now)
+SimNode::continueStep(double now)
 {
-    panicIf(!blockContinues(),
-            "SimNode::continueBatchStep at boundary");
-    (void)now; // steps within a block run back to back
-    return startBatchStep(layerEnd);
+    panicIf(!blockContinues(), "SimNode::continueStep at boundary");
+    // Continuous batching: queued work joins at this layer boundary;
+    // the step itself starts back to back with the previous one.
+    if (members.size() < stepCap)
+        composeBatch(now, true);
+    return startStep(layerEnd);
 }
 
 } // namespace dysta

@@ -10,6 +10,17 @@
  * 1-node instance of this machinery; `ClusterEngine` drives N of
  * them off one event calendar.
  *
+ * Execution has one path: every block runs as a sequence of *steps*.
+ * At a block boundary the policy picks the step's anchor; the step
+ * then holds up to a member cap of requests, each advancing its own
+ * next layer. The cap is 1 unless dynamic batching is on
+ * (`setBatching`), so an unbatched step is exactly one layer of the
+ * anchor and its wall time is that layer's latency. With batching
+ * the composition policy fills the remaining slots, queued work may
+ * join at layer boundaries (continuous batching) and the step's wall
+ * time is the slowest member's layer inflated by the marginal-member
+ * overhead (see BatchConfig).
+ *
  * Heterogeneity is first-class: every node carries a `NodeHw`
  * accelerator configuration (hardware class, PE count, clock) from
  * which its relative throughput is derived, so a cluster can mix
@@ -242,91 +253,74 @@ class SimNode
     CancelOutcome cancel(Request* req, double now);
 
     /**
-     * Invoke the policy and start the first layer of a new
-     * non-preemptible block.
+     * Invoke the policy for the anchor of a new non-preemptible
+     * block, fill the step up to the member cap and start it.
      * @pre !busy() && outstanding() > 0
-     * @return completion time of the started layer
+     * @return completion time of the started step
      */
-    double beginBlock(double now);
+    double beginStep(double now);
 
     /**
-     * Finish the in-flight layer at its completion time.
-     * @return the completed request if it just finished, else nullptr
+     * Finish the in-flight step at its completion time: every member
+     * advances one layer; finished members retire.
+     * @return the members that just completed, in step order; the
+     *         buffer is reused, so it is valid until the next call
      */
-    Request* completeLayer();
+    const std::vector<Request*>& completeStep();
 
     /**
-     * Whether the node should immediately continue with the next
-     * layer of the current block (request unfinished, block not
-     * exhausted). @pre !busy() (layer just completed)
+     * Whether the node should immediately continue the current block
+     * (anchor unfinished, block not exhausted).
+     * @pre !busy() (step just completed)
      */
     bool blockContinues() const;
 
-    /** Start the next layer of the current block. @pre blockContinues() */
-    double continueBlock(double now);
+    /**
+     * Admit queued work into free member slots at this layer
+     * boundary (continuous batching) and start the block's next step.
+     * @pre blockContinues()
+     */
+    double continueStep(double now);
 
-    /** Monitored sparsity reported by the layer just completed. */
+    /** Monitored sparsity reported by the anchor's last layer. */
     double lastMonitoredSparsity() const { return lastSparsity; }
 
-    // --- dynamic batching (src/batch/) -------------------------------
-    // With batching enabled the node executes *batch steps* instead
-    // of single layers: the scheduler still picks the block's anchor
-    // (decision/preemption counting unchanged), the composition
-    // policy fills the batch from the ready queue, and every member
-    // advances its own next layer per step. The step's wall time is
-    // the slowest member's layer latency inflated by the marginal-
-    // member overhead (see BatchConfig). Members may join a running
-    // batch at layer boundaries (continuous batching).
+    /** Whether `req` is a member of the in-flight step. */
+    bool inStep(const Request* req) const;
 
-    /** Enable batch execution for this run. */
-    void setBatching(const BatchConfig& cfg) { batchCfg = cfg; }
+    /** Members of the current step (valid while busy()). */
+    const std::vector<Request*>& stepMembers() const { return members; }
+
+    /** Wall time of the in-flight step (valid while busy()). */
+    double stepLatency() const { return stepLat; }
+
+    // --- dynamic batching (src/batch/) -------------------------------
+
+    /**
+     * Enable batch execution for this run: the member cap becomes
+     * `cfg.maxSize` and formation may hold for `cfg.maxDelaySec`.
+     */
+    void setBatching(const BatchConfig& cfg);
 
     /**
      * Whether formation should wait for the batch to fill: fewer
      * than maxSize ready requests and the oldest has not yet waited
      * maxDelaySec. Sets `release_at` to when the hold expires.
+     * Always false with batching off (checked inline: it runs at
+     * every block boundary).
      */
-    bool batchShouldHold(double now, double* release_at) const;
-
-    /**
-     * Invoke the policy for the batch anchor, compose the batch and
-     * start its first step. @pre !busy() && outstanding() > 0
-     * @return completion time of the started step
-     */
-    double beginBatch(double now);
-
-    /**
-     * Finish the in-flight batch step at its completion time: every
-     * member advances one layer; finished members retire.
-     * @return the members that just completed, in batch order
-     */
-    std::vector<Request*> completeBatchStep();
-
-    /**
-     * Admit new members at a layer boundary (continuous batching),
-     * up to maxSize, chosen by the composition policy.
-     * @pre !busy() && blockContinues()
-     */
-    void batchJoin(double now);
-
-    /** Start the next step of the current batch. @pre blockContinues() */
-    double continueBatchStep(double now);
-
-    /** Whether `req` is a member of the in-flight batch step. */
-    bool inActiveBatch(const Request* req) const;
-
-    /** Members of the current batch (valid while busy()). */
-    const std::vector<Request*>& activeBatch() const { return batch; }
-
-    /** Wall time of the in-flight batch step (valid while busy()). */
-    double batchStepLatency() const { return batchStepLat; }
+    bool batchShouldHold(double now, double* release_at) const
+    {
+        return batchCfg.enabled && batchCfg.maxDelaySec > 0.0 &&
+               holdUntil(now, release_at);
+    }
 
     /** Batch-execution counters accumulated over the run. */
     struct BatchCounters
     {
-        size_t formed = 0;      ///< batches formed (beginBatch calls)
+        size_t formed = 0;      ///< steps begun at block boundaries
         size_t joins = 0;       ///< members admitted at layer boundaries
-        size_t steps = 0;       ///< batch steps executed
+        size_t steps = 0;       ///< steps executed
         size_t memberSteps = 0; ///< member-layers executed across steps
         /** First-execution queue delay summed over members. */
         double fillWaitSec = 0.0;
@@ -350,10 +344,10 @@ class SimNode
     std::unique_ptr<Scheduler> sched;
 
     std::vector<Request*> ready;
-    Request* running = nullptr;      ///< request owning the in-flight layer
-    Request* blockOwner = nullptr;   ///< request owning the current block
-    size_t blockExecuted = 0;        ///< layers done in the current block
-    double layerEnd = 0.0;           ///< completion time of in-flight layer
+    Request* running = nullptr;      ///< anchor of the in-flight step
+    Request* blockOwner = nullptr;   ///< anchor of the current block
+    size_t blockExecuted = 0;        ///< steps done in the current block
+    double layerEnd = 0.0;           ///< completion time of in-flight step
     double lastSparsity = -1.0;
     const Request* lastRun = nullptr; ///< preemption detection
 
@@ -366,14 +360,16 @@ class SimNode
     size_t numDecisions = 0;
 
     BatchConfig batchCfg;            ///< disabled by default
-    std::vector<Request*> batch;     ///< current batch members
-    double batchStepBase = 0.0;      ///< max member latency of the step
-    double batchStepLat = 0.0;       ///< step wall time (with overhead)
+    size_t stepCap = 1;              ///< member cap (maxSize if batching)
+    std::vector<Request*> members;   ///< current step members, anchor first
+    std::vector<Request*> finished;  ///< completeStep() result buffer
+    double stepBase = 0.0;           ///< max member latency of the step
+    double stepLat = 0.0;            ///< step wall time (with overhead)
     BatchCounters bstats;
 
-    double startLayer(double now);
+    bool holdUntil(double now, double* release_at) const;
     void composeBatch(double now, bool at_join);
-    double startBatchStep(double now);
+    double startStep(double start);
 };
 
 } // namespace dysta

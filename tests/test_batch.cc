@@ -3,7 +3,8 @@
  * Tests of the dynamic-batching subsystem (src/batch/): spec-grammar
  * parsing, batch formation invariants on SimNode (size cap, fill-
  * window hold, batch-aware step latency, continuous joins at layer
- * boundaries only), the composition policies (fifo / greedy /
+ * boundaries only, a batch of one reproducing the unbatched
+ * schedule), the composition policies (fifo / greedy /
  * sparsity-aware), per-node scheduler overrides in fleet specs, the
  * goodput metric, and the determinism contract: batching off keeps
  * every report inert, and the batching grid replays bit-identically
@@ -19,8 +20,11 @@
 #include "api/scenario.hh"
 #include "batch/batch.hh"
 #include "exp/sweep.hh"
+#include "obs/telemetry.hh"
 #include "sched/fcfs.hh"
 #include "sched/sjf.hh"
+#include "serve/dispatcher.hh"
+#include "sim/core.hh"
 #include "sim/node.hh"
 #include "test_helpers.hh"
 #include "workload/cluster_spec.hh"
@@ -75,6 +79,43 @@ batchCell(const std::string& batcher)
     cell.cluster.dispatcher = "least-outstanding";
     cell.cluster.batcher = batcher;
     return cell;
+}
+
+/** An SJF run over a staggered multi-model queue, kept whole. */
+struct SoloRun
+{
+    SimResult result;
+    std::vector<double> finish;
+};
+
+SoloRun
+runSolo(size_t fleet, size_t block, const std::string& batcher)
+{
+    // Arrivals outpace the fleet, so queues build and SJF preempts
+    // long requests at block boundaries when shorter ones arrive.
+    const char* models[] = {"c", "d", "b", "two", "a", "one"};
+    std::vector<Request> reqs;
+    reqs.reserve(48);
+    for (int i = 0; i < 48; ++i)
+        reqs.push_back(world().request(i, models[i % 6], 0.11 * i));
+
+    SimConfig sim;
+    NodeProfile profile = referenceNodeProfile();
+    profile.layerBlockSize = block;
+    profile.decisionOverheadSec = 1e-3;
+    sim.nodes.assign(fleet, profile);
+    sim.recordEvents = true;
+    sim.batching = batchConfigFromSpec(batcher);
+    LeastOutstandingDispatcher dispatcher;
+    SoloRun run;
+    run.result = runSimulation(sim, reqs, dispatcher,
+                               [](const NodeProfile&, int) {
+                                   return std::make_unique<SjfScheduler>(
+                                       world().lut);
+                               });
+    for (const Request& r : reqs)
+        run.finish.push_back(r.finishTime);
+    return run;
 }
 
 } // namespace
@@ -148,14 +189,14 @@ TEST(BatchFormation, SizeCapAndStepLatencyWithOverhead)
         node.enqueue(&reqs.back(), 0.0);
     }
 
-    double end = node.beginBatch(0.0);
+    double end = node.beginStep(0.0);
     // The batch fills to the cap, never past it.
-    EXPECT_EQ(node.activeBatch().size(), 8u);
+    EXPECT_EQ(node.stepMembers().size(), 8u);
     // step = max member latency * (1 + overhead * (k - 1)).
-    EXPECT_DOUBLE_EQ(node.batchStepLatency(), 1.0 * (1.0 + 0.05 * 7));
+    EXPECT_DOUBLE_EQ(node.stepLatency(), 1.0 * (1.0 + 0.05 * 7));
     EXPECT_DOUBLE_EQ(end, 1.35);
 
-    std::vector<Request*> done = node.completeBatchStep();
+    std::vector<Request*> done = node.completeStep();
     // Every member advanced (and here finished) its own layer, and
     // executed time is the member's own latency, not the step's.
     ASSERT_EQ(done.size(), 8u);
@@ -229,8 +270,8 @@ TEST(BatchFormation, ContinuousJoinOnlyAtLayerBoundaries)
     Request* first = &reqs.back();
     node.enqueue(first, 0.0);
 
-    double end = node.beginBatch(0.0);
-    EXPECT_EQ(node.activeBatch().size(), 1u);
+    double end = node.beginStep(0.0);
+    EXPECT_EQ(node.stepMembers().size(), 1u);
     EXPECT_DOUBLE_EQ(end, 1.0);
 
     // A request arriving mid-step waits for the layer boundary; it
@@ -238,23 +279,58 @@ TEST(BatchFormation, ContinuousJoinOnlyAtLayerBoundaries)
     reqs.push_back(world().request(1, "two", 0.3));
     Request* late = &reqs.back();
     node.enqueue(late, 0.3);
-    EXPECT_FALSE(node.inActiveBatch(late));
+    EXPECT_FALSE(node.inStep(late));
 
-    EXPECT_TRUE(node.completeBatchStep().empty());
+    EXPECT_TRUE(node.completeStep().empty());
     ASSERT_TRUE(node.blockContinues());
-    node.batchJoin(1.0);
-    end = node.continueBatchStep(1.0);
+    end = node.continueStep(1.0);
     EXPECT_DOUBLE_EQ(end, 2.0);
-    EXPECT_EQ(node.activeBatch().size(), 2u);
-    EXPECT_TRUE(node.inActiveBatch(late));
+    EXPECT_EQ(node.stepMembers().size(), 2u);
+    EXPECT_TRUE(node.inStep(late));
     EXPECT_EQ(node.batchCounters().joins, 1u);
 
     // Each member advances its *own* next layer per step.
-    std::vector<Request*> done = node.completeBatchStep();
+    std::vector<Request*> done = node.completeStep();
     ASSERT_EQ(done.size(), 1u);
     EXPECT_EQ(done[0], first);
     EXPECT_EQ(first->nextLayer, 2u);
     EXPECT_EQ(late->nextLayer, 1u);
+}
+
+TEST(BatchFormation, BatchOfOneReproducesTheUnbatchedRun)
+{
+    // A batch step with a member cap of 1 is exactly one layer of the
+    // anchor: the same schedule, bit for bit, as batching off.
+    for (size_t fleet : {1u, 2u}) {
+        for (size_t block : {1u, 3u}) {
+            SCOPED_TRACE("nodes=" + std::to_string(fleet) +
+                         " block=" + std::to_string(block));
+            SoloRun off = runSolo(fleet, block, "");
+            SoloRun one = runSolo(fleet, block, "batcher:size=1");
+            EXPECT_EQ(off.finish, one.finish);
+            EXPECT_EQ(off.result.decisions, one.result.decisions);
+            EXPECT_EQ(off.result.preemptions, one.result.preemptions);
+            EXPECT_EQ(off.result.eventsProcessed,
+                      one.result.eventsProcessed);
+            ASSERT_EQ(off.result.events.size(),
+                      one.result.events.size());
+            for (size_t i = 0; i < off.result.events.size(); ++i) {
+                const ClusterEvent& a = off.result.events[i];
+                const ClusterEvent& b = one.result.events[i];
+                EXPECT_EQ(a.nodeId, b.nodeId) << i;
+                EXPECT_EQ(a.requestId, b.requestId) << i;
+                EXPECT_EQ(a.layer, b.layer) << i;
+                EXPECT_EQ(a.start, b.start) << i;
+                EXPECT_EQ(a.end, b.end) << i;
+            }
+            EXPECT_FALSE(off.result.metrics.batching.active);
+            EXPECT_TRUE(one.result.metrics.batching.active);
+            EXPECT_EQ(one.result.metrics.batching.meanOccupancy, 1.0);
+            EXPECT_EQ(one.result.metrics.batching.joins, 0.0);
+        }
+    }
+    // The comparison covers preemptive schedules, not just FIFO runs.
+    EXPECT_GT(runSolo(1, 1, "").result.preemptions, 0u);
 }
 
 TEST(BatchFormation, CompositionPoliciesRankCandidatesDifferently)
@@ -283,12 +359,12 @@ TEST(BatchFormation, CompositionPoliciesRankCandidatesDifferently)
             node.enqueue(&reqs.back(), 0.0);
         }
 
-        node.beginBatch(0.0);
-        ASSERT_EQ(node.activeBatch().size(), 2u) << c.compose;
+        node.beginStep(0.0);
+        ASSERT_EQ(node.stepMembers().size(), 2u) << c.compose;
         // SJF anchors on the shortest job ("a") in every variant.
-        EXPECT_EQ(node.activeBatch()[0]->modelName, "a")
+        EXPECT_EQ(node.stepMembers()[0]->modelName, "a")
             << c.compose;
-        EXPECT_EQ(node.activeBatch()[1]->modelName, c.pick)
+        EXPECT_EQ(node.stepMembers()[1]->modelName, c.pick)
             << c.compose;
     }
 }
@@ -309,11 +385,11 @@ TEST(BatchFormation, EstimatorLessPoliciesFallBackToQueueOrder)
         reqs.push_back(world().request(id++, model, 0.0));
         node.enqueue(&reqs.back(), 0.0);
     }
-    node.beginBatch(0.0);
-    ASSERT_EQ(node.activeBatch().size(), 3u);
-    EXPECT_EQ(node.activeBatch()[0]->modelName, "d");
-    EXPECT_EQ(node.activeBatch()[1]->modelName, "c");
-    EXPECT_EQ(node.activeBatch()[2]->modelName, "b");
+    node.beginStep(0.0);
+    ASSERT_EQ(node.stepMembers().size(), 3u);
+    EXPECT_EQ(node.stepMembers()[0]->modelName, "d");
+    EXPECT_EQ(node.stepMembers()[1]->modelName, "c");
+    EXPECT_EQ(node.stepMembers()[2]->modelName, "b");
 }
 
 // --- fleet grammar ----------------------------------------------------------
@@ -445,6 +521,27 @@ TEST(BatchDeterminism, BatchingOffKeepsReportsInert)
     EXPECT_EQ(r.metrics.batching.joins, 0.0);
     EXPECT_EQ(r.metrics.batching.steps, 0.0);
     EXPECT_EQ(r.metrics.batching.meanOccupancy, 0.0);
+
+    // Every unbatched block still begins as a (one-member) step; the
+    // telemetry log must not see it as a formed batch.
+    Telemetry telemetry;
+    SweepCell traced = batchCell("");
+    traced.telemetry = &telemetry;
+    SweepCellResult t = runSweepCell(ctx(), traced);
+    EXPECT_EQ(t.metrics.completed, r.metrics.completed);
+    EXPECT_GT(telemetry.execStarts(), 0u);
+    EXPECT_EQ(telemetry.batchesFormed(), 0u);
+    EXPECT_EQ(telemetry.batchJoins(), 0u);
+    for (const TelemetryEvent& ev : telemetry.orderedEvents()) {
+        EXPECT_NE(ev.kind, TeleKind::BatchForm);
+        EXPECT_NE(ev.kind, TeleKind::BatchJoin);
+    }
+
+    // The same sink does record them once batching is on.
+    SweepCell batched = batchCell("batcher:size=8,compose=fifo");
+    batched.telemetry = &telemetry;
+    runSweepCell(ctx(), batched);
+    EXPECT_GT(telemetry.batchesFormed(), 0u);
 }
 
 TEST(BatchDeterminism, BatchGridBitIdenticalAcrossJobs)

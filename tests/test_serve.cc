@@ -47,7 +47,7 @@ ctx()
 
 // --- node/engine semantics -------------------------------------------------
 
-TEST(ServeNode, SingleNodeClusterMatchesSchedulerEngine)
+TEST(SimNode, SingleNodeClusterMatchesSchedulerEngine)
 {
     test::World world;
     world.addModel("a", {0.2, 0.3}, {0.5, 0.5});
@@ -77,7 +77,7 @@ TEST(ServeNode, SingleNodeClusterMatchesSchedulerEngine)
     EXPECT_EQ(er.preemptions, cr.preemptions);
 }
 
-TEST(ServeNode, SimultaneousArrivalsMatchSchedulerEngine)
+TEST(SimNode, SimultaneousArrivalsMatchSchedulerEngine)
 {
     // All requests arrive at t=0: the node's policy must see the
     // whole cohort before its first dispatch decision, exactly like
@@ -115,7 +115,7 @@ TEST(ServeNode, SimultaneousArrivalsMatchSchedulerEngine)
     EXPECT_DOUBLE_EQ(er.metrics.antt, cr.metrics.antt);
 }
 
-TEST(ServeNode, SpeedFactorScalesExecution)
+TEST(SimNode, SpeedFactorScalesExecution)
 {
     test::World world;
     world.addModel("a", {1.0}, {0.5});
@@ -129,7 +129,7 @@ TEST(ServeNode, SpeedFactorScalesExecution)
     EXPECT_EQ(r.metrics.completed, 1u);
 }
 
-TEST(ServeNode, EventsCoverAllLayersOnAllNodes)
+TEST(SimNode, EventsCoverAllLayersOnAllNodes)
 {
     test::World world;
     world.addModel("a", {0.1, 0.1}, {0.5, 0.5});

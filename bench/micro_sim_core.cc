@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "exp/experiments.hh"
+#include "exp/sweep.hh"
 #include "obs/telemetry.hh"
 #include "util/args.hh"
 #include "util/logging.hh"
@@ -152,18 +153,16 @@ rateStr(double per_sec)
 int
 telemetryCheck(const BenchContext& ctx, int reps, double bound)
 {
-    WorkloadConfig wl;
-    wl.kind = WorkloadKind::MultiAttNN;
-    wl.arrivalRate = 100.0;
-    wl.numRequests = 400;
-
-    ClusterRunConfig cluster; // 4 reference nodes, Dysta per node
+    SweepCell cell;
+    cell.workload.kind = WorkloadKind::MultiAttNN;
+    cell.workload.arrivalRate = 100.0;
+    cell.workload.numRequests = 400;
+    cell.clusterMode = true; // 4 reference nodes, Dysta per node
 
     auto timeOne = [&](Telemetry* sink, Metrics& metrics) {
-        ClusterRunConfig cfg = cluster;
-        cfg.telemetry = sink;
+        cell.telemetry = sink;
         auto t0 = std::chrono::steady_clock::now();
-        ClusterResult result = runCluster(ctx, wl, cfg);
+        SweepCellResult result = runSweepCell(ctx, cell);
         metrics = result.metrics;
         return secondsSince(t0);
     };
@@ -198,7 +197,7 @@ telemetryCheck(const BenchContext& ctx, int reps, double bound)
                 "(%d requests, 4 nodes)\n"
                 "  null sink:  %.4fs\n"
                 "  no-op sink: %.4fs  (%.3fx, bound %.2fx)\n",
-                reps, wl.numRequests, base_sec, noop_sec, ratio,
+                reps, cell.workload.numRequests, base_sec, noop_sec, ratio,
                 bound);
     if (ratio > bound) {
         std::printf("telemetry-check: FAIL — disabled-telemetry "

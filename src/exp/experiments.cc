@@ -8,9 +8,7 @@
 #include <sstream>
 
 #include "api/registry.hh"
-#include "chaos/failure.hh"
 #include "exp/sweep.hh"
-#include "workload/source.hh"
 #include "models/zoo.hh"
 #include "trace/profiler.hh"
 #include "util/logging.hh"
@@ -236,71 +234,6 @@ makeDispatcherByName(const std::string& spec, const BenchContext& ctx,
 {
     return PolicyRegistry::global().makeDispatcher(spec, ctx,
                                                    steal_cfg);
-}
-
-ClusterResult
-runCluster(const BenchContext& ctx, const WorkloadConfig& workload,
-           const ClusterRunConfig& cluster)
-{
-    ClusterConfig cfg;
-    if (!cluster.nodes.empty()) {
-        cfg.nodes = cluster.nodes;
-    } else {
-        fatalIf(cluster.numNodes == 0,
-                "runCluster: need at least one node");
-        cfg = homogeneousCluster(cluster.numNodes);
-    }
-    cfg.admission = cluster.admission;
-    cfg.lut = &ctx.lut;
-    cfg.nodeEvents = cluster.nodeEvents;
-    cfg.onFailure = cluster.onFailure;
-    cfg.telemetry = cluster.telemetry;
-    cfg.calendar = cluster.calendar;
-    cfg.metricsKind = cluster.metricsKind;
-
-    // Chaos knobs: the failure process is constructed per run and
-    // must outlive engine.run(); the sim core seeds its RNG stream
-    // from the workload seed, so seed replicas see different fault
-    // timelines but reruns are bit-identical.
-    std::unique_ptr<FailureProcess> chaos_proc;
-    if (!cluster.chaos.empty()) {
-        chaos_proc =
-            PolicyRegistry::global().makeFailureProcess(cluster.chaos);
-        cfg.chaos = chaos_proc.get();
-    }
-    cfg.chaosSeed = workload.seed;
-    cfg.retry = retryConfigFromSpec(cluster.retry);
-    cfg.hedge = hedgeConfigFromSpec(cluster.hedge);
-    cfg.brownout = brownoutConfigFromSpec(cluster.brownout);
-    cfg.tierWeights = tierWeightsFromSpec(cluster.tiers);
-    cfg.batching = batchConfigFromSpec(cluster.batcher);
-
-    std::unique_ptr<LatencyEstimator> admission_est;
-    if (!cluster.admissionEstimator.empty()) {
-        admission_est = PolicyRegistry::global().makeEstimator(
-            cluster.admissionEstimator, ctx);
-        cfg.admissionEstimator = admission_est.get();
-    }
-
-    auto dispatcher = makeDispatcherByName(cluster.dispatcher, ctx,
-                                           cluster.stealing);
-    ClusterEngine engine(cfg);
-    // A per-node scheduler suffix in the fleet spec ("sanger:2=sjf")
-    // overrides the cluster-wide policy for those nodes.
-    PolicyFactory factory = [&](const NodeProfile& profile, int) {
-        const std::string& spec = profile.scheduler.empty()
-                                      ? cluster.nodeScheduler
-                                      : profile.scheduler;
-        return makeSchedulerByName(spec, ctx, workload.kind);
-    };
-
-    if (cluster.streaming) {
-        WorkloadArrivalSource source(workload, ctx.registry);
-        return engine.run(source, *dispatcher, factory);
-    }
-    std::vector<Request> requests =
-        generateWorkload(workload, ctx.registry);
-    return engine.run(requests, *dispatcher, factory);
 }
 
 } // namespace dysta

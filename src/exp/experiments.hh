@@ -141,19 +141,6 @@ struct ClusterRunConfig
     RestartPolicy onFailure = RestartPolicy::Restart;
     /** Thresholds for the work-stealing dispatcher. */
     WorkStealingConfig stealing;
-    /** Optional telemetry sink (not owned; see SimConfig). */
-    Telemetry* telemetry = nullptr;
-    /**
-     * Generate requests lazily through a WorkloadArrivalSource
-     * instead of materializing the whole workload vector: memory
-     * stays bounded by the in-flight set, the schedule stays
-     * bit-identical for the same seed.
-     */
-    bool streaming = false;
-    /** Calendar implementation (see SimConfig::calendar). */
-    CalendarKind calendar = CalendarKind::Heap;
-    /** Streaming-mode metrics accumulation (see SimConfig). */
-    MetricsKind metricsKind = MetricsKind::Exact;
 
     // --- chaos engine (src/chaos/) -----------------------------------
     /**
@@ -181,11 +168,6 @@ struct ClusterRunConfig
      */
     std::string batcher;
 };
-
-/** Generate one workload and serve it on a simulated cluster. */
-ClusterResult runCluster(const BenchContext& ctx,
-                         const WorkloadConfig& workload,
-                         const ClusterRunConfig& cluster);
 
 } // namespace dysta
 

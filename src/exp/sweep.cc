@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "api/registry.hh"
+#include "chaos/failure.hh"
 #include "obs/phase_timer.hh"
 #include "obs/telemetry.hh"
 #include "util/logging.hh"
@@ -36,14 +37,22 @@ makeProbeSink(const BenchContext& ctx,
 SweepCellResult
 runSweepCell(const BenchContext& ctx, const SweepCell& cell)
 {
+    const PolicyRegistry& registry = PolicyRegistry::global();
+    SimConfig sim;
     std::unique_ptr<Telemetry> probe_sink;
-    Telemetry* sink = cell.telemetry;
-    if (sink == nullptr && !cell.probes.empty()) {
+    sim.telemetry = cell.telemetry;
+    if (sim.telemetry == nullptr && !cell.probes.empty()) {
         probe_sink = makeProbeSink(ctx, cell.probes);
-        sink = probe_sink.get();
+        sim.telemetry = probe_sink.get();
     }
+    sim.calendar = cell.calendar;
+    sim.metricsKind = cell.metricsKind;
 
-    SweepCellResult out;
+    std::unique_ptr<Dispatcher> dispatcher;
+    std::unique_ptr<FailureProcess> chaos;
+    std::unique_ptr<LatencyEstimator> admission_est;
+    std::unique_ptr<Scheduler> policy;
+    PolicyFactory factory;
     if (cell.clusterMode) {
         // Cluster cells configure node policies by name and block
         // granularity per NodeProfile; reject the single-accelerator
@@ -54,45 +63,73 @@ runSweepCell(const BenchContext& ctx, const SweepCell& cell)
         panicIf(cell.layerBlockSize != 1,
                 "runSweepCell: set block granularity on the cluster "
                 "NodeProfiles, not SweepCell::layerBlockSize");
-        ClusterRunConfig cluster = cell.cluster;
-        cluster.telemetry = sink;
-        cluster.streaming = cell.streaming;
-        cluster.calendar = cell.calendar;
-        cluster.metricsKind = cell.metricsKind;
-        ClusterResult r = runCluster(ctx, cell.workload, cluster);
-        out.metrics = r.metrics;
-        out.decisions = r.decisions;
-        out.preemptions = r.preemptions;
-        out.eventsProcessed = r.eventsProcessed;
-        return out;
+        const ClusterRunConfig& cluster = cell.cluster;
+        if (!cluster.nodes.empty()) {
+            sim.nodes = cluster.nodes;
+        } else {
+            fatalIf(cluster.numNodes == 0,
+                    "runSweepCell: need at least one node");
+            sim.nodes = homogeneousCluster(cluster.numNodes).nodes;
+        }
+        sim.admission = cluster.admission;
+        sim.lut = &ctx.lut;
+        sim.nodeEvents = cluster.nodeEvents;
+        sim.onFailure = cluster.onFailure;
+
+        // The failure process is built per run; the core seeds its
+        // RNG stream from the workload seed, so seed replicas see
+        // different fault timelines but reruns are bit-identical.
+        if (!cluster.chaos.empty()) {
+            chaos = registry.makeFailureProcess(cluster.chaos);
+            sim.chaos = chaos.get();
+        }
+        sim.chaosSeed = cell.workload.seed;
+        sim.retry = retryConfigFromSpec(cluster.retry);
+        sim.hedge = hedgeConfigFromSpec(cluster.hedge);
+        sim.brownout = brownoutConfigFromSpec(cluster.brownout);
+        sim.tierWeights = tierWeightsFromSpec(cluster.tiers);
+        sim.batching = batchConfigFromSpec(cluster.batcher);
+        if (!cluster.admissionEstimator.empty()) {
+            admission_est =
+                registry.makeEstimator(cluster.admissionEstimator, ctx);
+            sim.admissionEstimator = admission_est.get();
+        }
+
+        dispatcher = makeDispatcherByName(cluster.dispatcher, ctx,
+                                          cluster.stealing);
+        // A per-node scheduler suffix in the fleet spec
+        // ("sanger:2=sjf") overrides the cluster-wide policy.
+        factory = [&](const NodeProfile& profile, int) {
+            const std::string& spec = profile.scheduler.empty()
+                                          ? cluster.nodeScheduler
+                                          : profile.scheduler;
+            return makeSchedulerByName(spec, ctx, cell.workload.kind);
+        };
+    } else {
+        policy = cell.makePolicy
+            ? cell.makePolicy(ctx)
+            : makeSchedulerByName(cell.scheduler, ctx,
+                                  cell.workload.kind);
+        panicIf(policy == nullptr,
+                "runSweepCell: cell policy factory returned null");
+        NodeProfile node = referenceNodeProfile("accelerator");
+        node.layerBlockSize = cell.layerBlockSize;
+        sim.nodes.push_back(node);
+        dispatcher = std::make_unique<SingleNodeDispatcher>();
+        // One node, so the factory runs once and hands over the
+        // freshly built policy.
+        factory = [&policy](const NodeProfile&, int) {
+            return std::move(policy);
+        };
     }
 
-    std::unique_ptr<Scheduler> policy = cell.makePolicy
-        ? cell.makePolicy(ctx)
-        : makeSchedulerByName(cell.scheduler, ctx, cell.workload.kind);
-    panicIf(policy == nullptr,
-            "runSweepCell: cell policy factory returned null");
-
-    EngineConfig ecfg;
-    ecfg.layerBlockSize = cell.layerBlockSize;
-    ecfg.telemetry = sink;
-    ecfg.calendar = cell.calendar;
-    ecfg.metricsKind = cell.metricsKind;
-    SchedulerEngine engine(ecfg);
-    EngineResult r;
     if (cell.streaming) {
         WorkloadArrivalSource source(cell.workload, ctx.registry);
-        r = engine.run(source, *policy);
-    } else {
-        std::vector<Request> requests =
-            generateWorkload(cell.workload, ctx.registry);
-        r = engine.run(requests, *policy);
+        return runSimulation(sim, source, *dispatcher, factory);
     }
-    out.metrics = r.metrics;
-    out.decisions = r.decisions;
-    out.preemptions = r.preemptions;
-    out.eventsProcessed = r.eventsProcessed;
-    return out;
+    std::vector<Request> requests =
+        generateWorkload(cell.workload, ctx.registry);
+    return runSimulation(sim, requests, *dispatcher, factory);
 }
 
 std::vector<SweepCell>

@@ -31,7 +31,7 @@ struct SweepCell
     WorkloadConfig workload;
     /** Node policy name (makeSchedulerByName). */
     std::string scheduler = "Dysta";
-    /** Non-preemptible block granularity (EngineConfig). */
+    /** Non-preemptible block granularity (NodeProfile). */
     size_t layerBlockSize = 1;
     /**
      * Optional policy override for cells that need a hand-built
@@ -71,22 +71,18 @@ struct SweepCell
     MetricsKind metricsKind = MetricsKind::Exact;
 };
 
-/** One cell's outcome. */
-struct SweepCellResult
-{
-    Metrics metrics;
-    /** Scheduler invocations across the run (all nodes). */
-    size_t decisions = 0;
-    /** Preemptions across the run (all nodes). */
-    size_t preemptions = 0;
-    /** Calendar events processed (events/sec denominators). */
-    size_t eventsProcessed = 0;
-};
+/**
+ * One cell's outcome: the simulation core's result (perNodeCompleted
+ * has one entry for a single-accelerator cell).
+ */
+using SweepCellResult = SimResult;
 
 /**
- * Run one cell, self-contained: generates the workload, constructs
- * the policy (and dispatcher for cluster cells) and simulates.
- * Thread-safe for concurrent calls sharing one const BenchContext.
+ * Run one cell, self-contained: generates the workload, builds the
+ * fleet (one "accelerator" node behind a SingleNodeDispatcher for a
+ * single-accelerator cell), the dispatcher and the node policies,
+ * and calls runSimulation once. Thread-safe for concurrent calls
+ * sharing one const BenchContext.
  */
 SweepCellResult runSweepCell(const BenchContext& ctx,
                              const SweepCell& cell);

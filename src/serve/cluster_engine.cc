@@ -1,6 +1,6 @@
 // Compatibility shim: the cluster event loop that used to live here
 // is now the unified simulation core (src/sim/core.cc); ClusterEngine
-// just forwards its configuration.
+// validates its SimConfig and forwards it.
 
 #include "serve/cluster_engine.hh"
 
@@ -38,49 +38,19 @@ ClusterEngine::ClusterEngine(ClusterConfig config)
             "ClusterEngine: admission margin must be positive");
 }
 
-namespace {
-
-SimConfig
-toSimConfig(const ClusterConfig& cfg)
-{
-    SimConfig sim;
-    sim.nodes = cfg.nodes;
-    sim.recordEvents = cfg.recordEvents;
-    sim.admission = cfg.admission;
-    sim.lut = cfg.lut;
-    sim.admissionEstimator = cfg.admissionEstimator;
-    sim.nodeEvents = cfg.nodeEvents;
-    sim.onFailure = cfg.onFailure;
-    sim.telemetry = cfg.telemetry;
-    sim.calendar = cfg.calendar;
-    sim.metricsKind = cfg.metricsKind;
-    sim.chaos = cfg.chaos;
-    sim.chaosSeed = cfg.chaosSeed;
-    sim.retry = cfg.retry;
-    sim.hedge = cfg.hedge;
-    sim.brownout = cfg.brownout;
-    sim.tierWeights = cfg.tierWeights;
-    sim.batching = cfg.batching;
-    return sim;
-}
-
-} // namespace
-
 ClusterResult
 ClusterEngine::run(std::vector<Request>& requests,
                    Dispatcher& dispatcher,
                    const PolicyFactory& make_policy) const
 {
-    SimConfig sim = toSimConfig(cfg);
-    return runSimulation(sim, requests, dispatcher, make_policy);
+    return runSimulation(cfg, requests, dispatcher, make_policy);
 }
 
 ClusterResult
 ClusterEngine::run(ArrivalSource& source, Dispatcher& dispatcher,
                    const PolicyFactory& make_policy) const
 {
-    SimConfig sim = toSimConfig(cfg);
-    return runSimulation(sim, source, dispatcher, make_policy);
+    return runSimulation(cfg, source, dispatcher, make_policy);
 }
 
 } // namespace dysta

@@ -29,57 +29,8 @@
 
 namespace dysta {
 
-/** Cluster topology and simulation knobs. */
-struct ClusterConfig
-{
-    /** One profile per node (size = fleet size). */
-    std::vector<NodeProfile> nodes;
-    /** Record per-layer schedule events (memory-heavy; off for sweeps). */
-    bool recordEvents = false;
-    /** Front-door load shedding. */
-    AdmissionConfig admission;
-    /**
-     * LUT used for admission estimates (not owned). Required when
-     * admission is enabled; unused otherwise.
-     */
-    const ModelInfoLut* lut = nullptr;
-    /**
-     * Optional admission estimator override (not owned); see
-     * SimConfig::admissionEstimator.
-     */
-    const LatencyEstimator* admissionEstimator = nullptr;
-    /** Scheduled drain/fail/recover transitions (see SimConfig). */
-    std::vector<NodeEvent> nodeEvents;
-    /** Fate of started requests displaced by a node failure. */
-    RestartPolicy onFailure = RestartPolicy::Restart;
-    /** Optional telemetry sink (not owned; see SimConfig). */
-    Telemetry* telemetry = nullptr;
-    /** Calendar implementation (see SimConfig::calendar). */
-    CalendarKind calendar = CalendarKind::Heap;
-    /**
-     * Metrics accumulation of the streaming run overload (see
-     * SimConfig::metricsKind); ignored by the vector overload.
-     */
-    MetricsKind metricsKind = MetricsKind::Exact;
-
-    // --- chaos engine (src/chaos/) -----------------------------------
-    /** Stochastic fault injector (not owned; see SimConfig::chaos). */
-    FailureProcess* chaos = nullptr;
-    /** Seed of the chaos RNG stream (see SimConfig::chaosSeed). */
-    uint64_t chaosSeed = 1;
-    /** Deadline-timeout retry policy. */
-    RetryConfig retry;
-    /** Tail-latency hedged dispatch. */
-    HedgeConfig hedge;
-    /** Brown-out admission escalation (requires admission). */
-    BrownoutConfig brownout;
-    /** Priority-tier weights (empty = single tier 0). */
-    std::vector<double> tierWeights;
-
-    // --- dynamic batching (src/batch/) -------------------------------
-    /** Batch formation knobs (see SimConfig::batching). */
-    BatchConfig batching;
-};
+/** Cluster topology and simulation knobs: the core's own config. */
+using ClusterConfig = SimConfig;
 
 /** Homogeneous fleet of `n` reference-speed nodes. */
 ClusterConfig homogeneousCluster(size_t n);

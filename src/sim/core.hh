@@ -19,12 +19,13 @@
  * it holds up to `maxSize` and formation may wait on a
  * `BatchRelease` event. The loop itself never branches on batching.
  *
- * Both public engines are thin shims over this function:
- * `SchedulerEngine` (src/sched/engine.cc) runs it with one node and
- * a `SingleNodeDispatcher`; `ClusterEngine` (src/serve/) passes its
- * fleet straight through. Preemption and decision counting are
- * therefore defined once, in `SimNode`, and reported identically by
- * every engine.
+ * Every sweep cell runs through `runSweepCell` (src/exp/sweep.cc),
+ * which calls this function once: a single-accelerator cell is one
+ * node behind a `SingleNodeDispatcher`, a cluster cell its fleet.
+ * The `SchedulerEngine` (src/sched/engine.cc) and `ClusterEngine`
+ * (src/serve/) facades forward to it the same way. Preemption and
+ * decision counting are therefore defined once, in `SimNode`, and
+ * reported identically on every path.
  */
 
 #ifndef DYSTA_SIM_CORE_HH

@@ -245,49 +245,54 @@ SimNode::holdUntil(double now, double* release_at) const
  * by the composition policy. Candidate ranking consults the
  * scheduler's own estimator (sparsity-refined under Dysta);
  * estimator-less policies (FCFS) fall back to queue order for every
- * composition. @pre members.size() < stepCap
+ * composition. Each candidate's key is computed once, and ordering
+ * (key, queue position) pairs reproduces a stable sort by key
+ * without allocating. @pre members.size() < stepCap
  */
 void
 SimNode::composeBatch(double now, bool at_join)
 {
-    std::vector<Request*> cand;
-    cand.reserve(ready.size());
-    for (Request* r : ready) {
-        if (std::find(members.begin(), members.end(), r) ==
+    const LatencyEstimator* est = sched->estimator();
+    bool by_key = est != nullptr && batchCfg.compose != BatchCompose::Fifo;
+    size_t room = stepCap - members.size();
+    ranked.clear();
+    for (size_t i = 0; i < ready.size(); ++i) {
+        // Queue order needs no more candidates than free slots.
+        if (!by_key && ranked.size() == room)
+            break;
+        if (std::find(members.begin(), members.end(), ready[i]) ==
             members.end())
-            cand.push_back(r);
+            ranked.emplace_back(0.0, i);
     }
-    if (cand.empty())
+    if (ranked.empty())
         return;
 
-    const LatencyEstimator* est = sched->estimator();
-    auto perLayer = [&](const Request* r) {
-        size_t left = r->layerCount() - r->nextLayer;
-        return est->remaining(*r) /
-               static_cast<double>(left == 0 ? 1 : left);
-    };
-    if (est != nullptr && batchCfg.compose == BatchCompose::Greedy) {
-        std::stable_sort(cand.begin(), cand.end(),
-                         [&](const Request* a, const Request* b) {
-                             return est->remaining(*a) <
-                                    est->remaining(*b);
-                         });
-    } else if (est != nullptr &&
-               batchCfg.compose == BatchCompose::Sparsity) {
-        // Group members of similar predicted density: per-layer
-        // estimated time closest to the anchor's, so the step's max
-        // tracks its mean instead of one dense straggler.
-        double pivot = perLayer(blockOwner);
-        std::stable_sort(cand.begin(), cand.end(),
-                         [&](const Request* a, const Request* b) {
-                             return std::abs(perLayer(a) - pivot) <
-                                    std::abs(perLayer(b) - pivot);
-                         });
+    size_t take = std::min(ranked.size(), room);
+    if (by_key) {
+        auto perLayer = [&](const Request* r) {
+            size_t left = r->layerCount() - r->nextLayer;
+            return est->remaining(*r) /
+                   static_cast<double>(left == 0 ? 1 : left);
+        };
+        if (batchCfg.compose == BatchCompose::Greedy) {
+            for (auto& [key, pos] : ranked)
+                key = est->remaining(*ready[pos]);
+        } else {
+            // Group members of similar predicted density: per-layer
+            // estimated time closest to the anchor's, so the step's
+            // max tracks its mean instead of one dense straggler.
+            double pivot = perLayer(blockOwner);
+            for (auto& [key, pos] : ranked)
+                key = std::abs(perLayer(ready[pos]) - pivot);
+        }
+        std::partial_sort(ranked.begin(),
+                          ranked.begin() +
+                              static_cast<std::ptrdiff_t>(take),
+                          ranked.end());
     }
 
-    for (Request* r : cand) {
-        if (members.size() >= stepCap)
-            break;
+    for (size_t k = 0; k < take; ++k) {
+        Request* r = ready[ranked[k].second];
         members.push_back(r);
         if (r->nextLayer == 0) {
             bstats.fillWaitSec += now - r->nodeEnqueueTime;

@@ -6,9 +6,9 @@
  * policy (any `Scheduler`: FCFS ... Dysta) and executes requests
  * with layer-granular, non-preemptible-block semantics — the
  * paper's Fig. 7 loop, implemented exactly once for every engine in
- * the repository. The single-accelerator `SchedulerEngine` is a
- * 1-node instance of this machinery; `ClusterEngine` drives N of
- * them off one event calendar.
+ * the repository. A single-accelerator run is a 1-node instance of
+ * this machinery; a cluster run drives N of them off one event
+ * calendar.
  *
  * Execution has one path: every block runs as a sequence of *steps*.
  * At a block boundary the policy picks the step's anchor; the step
@@ -48,6 +48,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "batch/batch.hh"
@@ -111,7 +112,7 @@ struct NodeProfile
     double speedFactor = 1.0;
     /** Time charged per scheduling decision on this node. */
     double decisionOverheadSec = 0.0;
-    /** Layers per non-preemptible block (see EngineConfig). */
+    /** Layers per non-preemptible block (Sec. 4.2.2 granularity). */
     size_t layerBlockSize = 1;
     /**
      * Per-node scheduling-policy override (makeSchedulerByName);
@@ -363,6 +364,8 @@ class SimNode
     size_t stepCap = 1;              ///< member cap (maxSize if batching)
     std::vector<Request*> members;   ///< current step members, anchor first
     std::vector<Request*> finished;  ///< completeStep() result buffer
+    /** composeBatch candidates: (ranking key, index into ready). */
+    std::vector<std::pair<double, size_t>> ranked;
     double stepBase = 0.0;           ///< max member latency of the step
     double stepLat = 0.0;            ///< step wall time (with overhead)
     BatchCounters bstats;

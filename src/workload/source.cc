@@ -8,8 +8,6 @@ WorkloadArrivalSource::WorkloadArrivalSource(
     const WorkloadConfig& workload, const TraceRegistry& traces)
     : config(workload),
       registry(&traces),
-      // Same seed derivation as generateWorkload: the two paths draw
-      // the identical random sequence for one WorkloadConfig.
       rng(config.seed * 0x9E3779B97F4A7C15ULL + 0x123456789ULL),
       models(workloadModels(config.kind)),
       patterns(config.kind == WorkloadKind::MultiCNN
@@ -18,8 +16,7 @@ WorkloadArrivalSource::WorkloadArrivalSource(
                          SparsityPattern::Dense}),
       arrivals(makeArrivalProcess(config.arrival, config.arrivalRate))
 {
-    fatalIf(config.arrivalRate <= 0.0,
-            "WorkloadArrivalSource: arrival rate must be positive");
+    // makeArrivalProcess above already rejects a non-positive rate.
     fatalIf(config.numRequests <= 0,
             "WorkloadArrivalSource: need at least one request");
 }
@@ -36,7 +33,6 @@ WorkloadArrivalSource::next()
     if (produced >= config.numRequests)
         return nullptr;
 
-    // One iteration of generateWorkload's loop, draw for draw.
     lastArrival = arrivals->nextArrival(lastArrival, rng);
     const std::string& model =
         models[rng.uniformInt(0, models.size() - 1)];

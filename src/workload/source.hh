@@ -1,18 +1,17 @@
 /**
  * @file
- * Lazy workload generation: the streaming twin of generateWorkload.
+ * Lazy workload generation: the one generator of a workload's
+ * requests.
  *
- * generateWorkload() materializes every Request of a run up front,
- * so memory grows linearly with the request count. A
- * WorkloadArrivalSource performs the exact same per-request RNG
- * sequence — same seed derivation, same draw order (arrival time,
- * model, sparsity pattern, trace sample) — but one request at a
- * time, on demand, into RequestArena slots that retired requests
- * return to. A streaming run over N requests therefore produces the
- * bit-identical schedule to a materialized run over
- * generateWorkload()'s vector while keeping only the in-flight set
- * alive, which is what makes >=10M-request scenarios run at flat
- * RSS (scenarios/megascale.scn, bench/bench_megascale.cc).
+ * A WorkloadArrivalSource draws each request of a WorkloadConfig on
+ * demand — arrival time, model, sparsity pattern, trace sample, in
+ * that order from one seeded RNG — into RequestArena slots that
+ * retired requests return to. A streaming run therefore keeps only
+ * the in-flight set alive, which is what makes >=10M-request
+ * scenarios run at flat RSS (scenarios/megascale.scn,
+ * bench/bench_megascale.cc). generateWorkload() is this source
+ * drained into a vector, so a materialized run sees the very same
+ * requests and produces the bit-identical schedule.
  */
 
 #ifndef DYSTA_WORKLOAD_SOURCE_HH
@@ -30,13 +29,13 @@ namespace dysta {
 
 /**
  * Generates the requests of one WorkloadConfig lazily, recycling
- * retired requests. The registry must outlive the source (requests
- * reference its traces), exactly as with generateWorkload().
+ * retired requests. The registry must outlive the source and the
+ * requests it hands out (they reference its traces).
  */
 class WorkloadArrivalSource final : public ArrivalSource
 {
   public:
-    /** fatal() on the same invalid configs generateWorkload rejects. */
+    /** fatal() on a non-positive arrival rate or request count. */
     WorkloadArrivalSource(const WorkloadConfig& config,
                           const TraceRegistry& registry);
 

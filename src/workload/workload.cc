@@ -6,7 +6,7 @@
 #include <filesystem>
 
 #include "util/logging.hh"
-#include "util/rng.hh"
+#include "workload/source.hh"
 
 namespace dysta {
 
@@ -252,38 +252,14 @@ std::vector<Request>
 generateWorkload(const WorkloadConfig& config,
                  const TraceRegistry& registry)
 {
-    fatalIf(config.arrivalRate <= 0.0,
-            "generateWorkload: arrival rate must be positive");
-    fatalIf(config.numRequests <= 0,
-            "generateWorkload: need at least one request");
-
-    Rng rng(config.seed * 0x9E3779B97F4A7C15ULL + 0x123456789ULL);
-    std::vector<std::string> models = workloadModels(config.kind);
-    std::vector<SparsityPattern> patterns =
-        config.kind == WorkloadKind::MultiCNN
-            ? cnnPatterns()
-            : std::vector<SparsityPattern>{SparsityPattern::Dense};
-
-    std::unique_ptr<ArrivalProcess> arrivals =
-        makeArrivalProcess(config.arrival, config.arrivalRate);
-
+    // Drain the streaming source: the one generator of a workload's
+    // requests, so both run modes see the same draws by construction.
+    WorkloadArrivalSource source(config, registry);
     std::vector<Request> requests;
-    requests.reserve(config.numRequests);
-    double now = 0.0;
-    for (int i = 0; i < config.numRequests; ++i) {
-        now = arrivals->nextArrival(now, rng);
-        const std::string& model =
-            models[rng.uniformInt(0, models.size() - 1)];
-        SparsityPattern pattern =
-            patterns[rng.uniformInt(0, patterns.size() - 1)];
-
-        const TraceSet& set = registry.get(model, pattern);
-        const SampleTrace& trace =
-            set.sample(rng.uniformInt(0, set.size() - 1));
-
-        requests.push_back(makeRequest(i, model, pattern, trace, now,
-                                       config.sloMultiplier,
-                                       set.avgTotalLatency()));
+    requests.reserve(source.total());
+    while (Request* req = source.next()) {
+        requests.push_back(std::move(*req));
+        source.retire(req, requests.back().arrival);
     }
     return requests;
 }

@@ -101,7 +101,8 @@ class TraceRegistry
 std::vector<std::string> workloadModels(WorkloadKind kind);
 
 /**
- * Generate one workload. Returned requests reference traces owned by
+ * Generate one workload: a WorkloadArrivalSource (workload/source.hh)
+ * drained into a vector. Returned requests reference traces owned by
  * the registry, which must outlive them.
  */
 std::vector<Request> generateWorkload(const WorkloadConfig& config,

@@ -9,10 +9,11 @@
  *    when the check fires);
  *  - the LastN predictor window holds what was observed, not lastN
  *    slots reserved up front;
- *  - a streaming megascale-shaped run allocates less than once per
- *    simulated event. The budget is measured as the growth between
- *    two request counts, so context, fleet and calendar set-up cancel
- *    out and only the per-event cost remains.
+ *  - a streaming megascale-shaped run, and every batcher slice of the
+ *    batching scenario, allocates less than once per simulated event.
+ *    The budget is measured as the growth between two request counts,
+ *    so context, fleet and calendar set-up cancel out and only the
+ *    per-event cost remains.
  */
 
 #include <gtest/gtest.h>
@@ -53,8 +54,37 @@ operator new[](std::size_t size)
     return operator new(size);
 }
 
+// std::stable_sort's temporary buffer comes from the nothrow form;
+// replace it too, so every form pairs with the free() below (a
+// sanitizer runtime would otherwise supply its own).
+void*
+operator new(std::size_t size, const std::nothrow_t&) noexcept
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_bytes.fetch_add(size, std::memory_order_relaxed);
+    return std::malloc(size == 0 ? 1 : size);
+}
+
+void*
+operator new[](std::size_t size, const std::nothrow_t& tag) noexcept
+{
+    return operator new(size, tag);
+}
+
 void
 operator delete(void* p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void* p, const std::nothrow_t&) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void* p, const std::nothrow_t&) noexcept
 {
     std::free(p);
 }
@@ -192,6 +222,48 @@ TEST(AllocBudget, StreamingRunAllocatesLessThanOncePerEvent)
     EXPECT_LT(allocs, events)
         << allocs << " allocations over " << events
         << " additional simulated events";
+}
+
+TEST(AllocBudget, BatchedRunAllocatesLessThanOncePerEventPerSlice)
+{
+    // batching.scn as shipped (materialized source, two sanger nodes,
+    // least-outstanding dispatch, Dysta per node, deep bursty
+    // queues), one seed, each batcher slice measured on its own so a
+    // cheap unbatched slice cannot hide a costly composition.
+    ScenarioSpec spec =
+        parseScenarioFile(std::string(DYSTA_SCENARIO_DIR) +
+                          "/batching.scn");
+    spec.samples = 30;
+    spec.seeds = 1;
+    std::unique_ptr<BenchContext> ctx =
+        makeBenchContext(scenarioSetup(spec));
+
+    auto perSlice = [&](int requests) {
+        spec.requests = requests;
+        std::vector<RunCost> costs;
+        for (const SweepCell& cell : scenarioCells(spec))
+            costs.push_back(runGrid(*ctx, {cell}));
+        return costs;
+    };
+    std::vector<RunCost> small = perSlice(400);
+    std::vector<RunCost> large = perSlice(1200);
+    std::vector<SweepCell> cells = scenarioCells(spec);
+
+    ASSERT_EQ(cells.size(), 4u);
+    ASSERT_EQ(small.size(), cells.size());
+    ASSERT_EQ(large.size(), cells.size());
+    for (size_t i = 0; i < cells.size(); ++i) {
+        const std::string& slice = cells[i].cluster.batcher;
+        ASSERT_GT(large[i].events, small[i].events) << slice;
+        size_t events = large[i].events - small[i].events;
+        size_t allocs = large[i].allocations > small[i].allocations
+                            ? large[i].allocations - small[i].allocations
+                            : 0;
+        EXPECT_LT(allocs, events)
+            << "batcher '" << slice << "': " << allocs
+            << " allocations over " << events
+            << " additional simulated events";
+    }
 }
 
 } // namespace

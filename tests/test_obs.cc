@@ -14,6 +14,7 @@
 #include "api/scenario.hh"
 #include "exp/experiments.hh"
 #include "exp/gantt.hh"
+#include "exp/sweep.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/telemetry.hh"
 #include "test_helpers.hh"
@@ -36,27 +37,23 @@ smallCtx()
     return *ctx;
 }
 
-/** A cluster run with mid-run failure + recovery on node 0. */
-ClusterRunConfig
-failoverCluster()
+/** A cluster cell with mid-run failure + recovery on node 0. */
+SweepCell
+failoverCell(Telemetry* telemetry = nullptr)
 {
-    ClusterRunConfig cluster;
-    cluster.nodes = fleetFromSpec("sanger:2,eyeriss-xl:2");
-    cluster.dispatcher = "round-robin";
-    cluster.nodeScheduler = "Dysta";
-    cluster.nodeEvents = nodeEventsFromSpec("fail@0.1:0,recover@0.5:0");
-    return cluster;
-}
-
-WorkloadConfig
-failoverWorkload()
-{
-    WorkloadConfig wl;
-    wl.kind = WorkloadKind::MultiAttNN;
-    wl.arrivalRate = 100.0;
-    wl.numRequests = 120;
-    wl.seed = 11;
-    return wl;
+    SweepCell cell;
+    cell.workload.kind = WorkloadKind::MultiAttNN;
+    cell.workload.arrivalRate = 100.0;
+    cell.workload.numRequests = 120;
+    cell.workload.seed = 11;
+    cell.clusterMode = true;
+    cell.cluster.nodes = fleetFromSpec("sanger:2,eyeriss-xl:2");
+    cell.cluster.dispatcher = "round-robin";
+    cell.cluster.nodeScheduler = "Dysta";
+    cell.cluster.nodeEvents =
+        nodeEventsFromSpec("fail@0.1:0,recover@0.5:0");
+    cell.telemetry = telemetry;
+    return cell;
 }
 
 Telemetry
@@ -166,12 +163,10 @@ TEST(TelemetryProbes, OracleProbeHasZeroResiduals)
 TEST(TelemetryConservation, ClusterRunWithFailuresBalances)
 {
     const BenchContext& ctx = smallCtx();
-    ClusterRunConfig cluster = failoverCluster();
     Telemetry telemetry = makeRecordingSink(ctx);
-    cluster.telemetry = &telemetry;
 
-    ClusterResult result =
-        runCluster(ctx, failoverWorkload(), cluster);
+    SweepCellResult result =
+        runSweepCell(ctx, failoverCell(&telemetry));
 
     // Every layer started either completed or was lost to a failure.
     EXPECT_EQ(telemetry.execStarts(),
@@ -224,15 +219,11 @@ TEST(TelemetryConservation, ClusterRunWithFailuresBalances)
 TEST(TelemetryIdentity, AttachedSinkDoesNotPerturbTheRun)
 {
     const BenchContext& ctx = smallCtx();
-    WorkloadConfig wl = failoverWorkload();
+    SweepCellResult base = runSweepCell(ctx, failoverCell());
 
-    ClusterRunConfig plain = failoverCluster();
-    ClusterResult base = runCluster(ctx, wl, plain);
-
-    ClusterRunConfig traced = failoverCluster();
     Telemetry telemetry = makeRecordingSink(ctx);
-    traced.telemetry = &telemetry;
-    ClusterResult observed = runCluster(ctx, wl, traced);
+    SweepCellResult observed =
+        runSweepCell(ctx, failoverCell(&telemetry));
 
     // The sink-attached run additionally carries probe accuracy.
     EXPECT_TRUE(base.metrics.estimators.empty());
@@ -249,15 +240,12 @@ TEST(TelemetryIdentity, AttachedSinkDoesNotPerturbTheRun)
 TEST(TelemetryExports, ChromeTraceIsDeterministicAndValidJson)
 {
     const BenchContext& ctx = smallCtx();
-    WorkloadConfig wl = failoverWorkload();
     std::vector<std::string> names = {"sanger0", "sanger1",
                                       "eyeriss-xl0", "eyeriss-xl1"};
 
     auto traceOnce = [&] {
-        ClusterRunConfig cluster = failoverCluster();
         Telemetry telemetry = makeRecordingSink(ctx);
-        cluster.telemetry = &telemetry;
-        runCluster(ctx, wl, cluster);
+        runSweepCell(ctx, failoverCell(&telemetry));
         return chromeTraceJson(telemetry, names);
     };
     std::string first = traceOnce();
@@ -298,10 +286,8 @@ TEST(TelemetryExports, ChromeTraceIsDeterministicAndValidJson)
 TEST(TelemetryExports, GanttRendersEveryNodeLane)
 {
     const BenchContext& ctx = smallCtx();
-    ClusterRunConfig cluster = failoverCluster();
     Telemetry telemetry = makeRecordingSink(ctx);
-    cluster.telemetry = &telemetry;
-    runCluster(ctx, failoverWorkload(), cluster);
+    runSweepCell(ctx, failoverCell(&telemetry));
 
     std::vector<std::string> names = {"sanger0", "sanger1",
                                       "eyeriss-xl0", "eyeriss-xl1"};

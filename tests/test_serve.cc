@@ -11,6 +11,7 @@
 #include <memory>
 
 #include "exp/experiments.hh"
+#include "exp/sweep.hh"
 #include "sched/engine.hh"
 #include "sched/fcfs.hh"
 #include "sched/sjf.hh"
@@ -314,26 +315,25 @@ TEST(Admission, RequiresLut)
 
 TEST(Cluster, DeterministicPerSeed)
 {
-    WorkloadConfig wl;
-    wl.kind = WorkloadKind::MultiAttNN;
-    wl.arrivalRate = 100.0;
-    wl.arrival.kind = ArrivalKind::Mmpp;
-    wl.numRequests = 200;
-    wl.seed = 7;
+    SweepCell cell;
+    cell.workload.kind = WorkloadKind::MultiAttNN;
+    cell.workload.arrivalRate = 100.0;
+    cell.workload.arrival.kind = ArrivalKind::Mmpp;
+    cell.workload.numRequests = 200;
+    cell.workload.seed = 7;
+    cell.clusterMode = true;
+    cell.cluster.numNodes = 4;
+    cell.cluster.dispatcher = "least-backlog";
+    cell.cluster.nodeScheduler = "Dysta";
 
-    ClusterRunConfig cluster;
-    cluster.numNodes = 4;
-    cluster.dispatcher = "least-backlog";
-    cluster.nodeScheduler = "Dysta";
-
-    ClusterResult a = runCluster(ctx(), wl, cluster);
-    ClusterResult b = runCluster(ctx(), wl, cluster);
+    SweepCellResult a = runSweepCell(ctx(), cell);
+    SweepCellResult b = runSweepCell(ctx(), cell);
     EXPECT_TRUE(sameMetrics(a.metrics, b.metrics));
     EXPECT_EQ(a.perNodeCompleted, b.perNodeCompleted);
     EXPECT_EQ(a.decisions, b.decisions);
 
-    wl.seed = 8;
-    ClusterResult c = runCluster(ctx(), wl, cluster);
+    cell.workload.seed = 8;
+    SweepCellResult c = runSweepCell(ctx(), cell);
     EXPECT_FALSE(sameMetrics(a.metrics, c.metrics));
 }
 
@@ -341,19 +341,19 @@ TEST(Cluster, ThroughputScalesMonotonicallyUnderSaturation)
 {
     // Offered load far above one node's capacity (~32 req/s): every
     // added node must raise completed throughput.
-    WorkloadConfig wl;
-    wl.kind = WorkloadKind::MultiAttNN;
-    wl.arrivalRate = 150.0;
-    wl.numRequests = 300;
-    wl.seed = 42;
+    SweepCell cell;
+    cell.workload.kind = WorkloadKind::MultiAttNN;
+    cell.workload.arrivalRate = 150.0;
+    cell.workload.numRequests = 300;
+    cell.workload.seed = 42;
+    cell.clusterMode = true;
+    cell.cluster.dispatcher = "least-backlog";
+    cell.cluster.nodeScheduler = "Dysta";
 
     double prev = 0.0;
     for (size_t n : {1u, 2u, 4u}) {
-        ClusterRunConfig cluster;
-        cluster.numNodes = n;
-        cluster.dispatcher = "least-backlog";
-        cluster.nodeScheduler = "Dysta";
-        ClusterResult r = runCluster(ctx(), wl, cluster);
+        cell.cluster.numNodes = n;
+        SweepCellResult r = runSweepCell(ctx(), cell);
         EXPECT_GT(r.metrics.throughput, prev)
             << "throughput did not grow at " << n << " nodes";
         prev = r.metrics.throughput;
@@ -367,19 +367,19 @@ TEST(Cluster, BacklogAwareBeatsRoundRobinOnBurstyTraffic)
     // must not lose to oblivious rotation on SLO violations. FCFS
     // per node isolates the placement decision (a reordering node
     // scheduler can mask front-end mistakes).
-    WorkloadConfig wl;
-    wl.kind = WorkloadKind::MultiAttNN;
-    wl.arrivalRate = 110.0;
-    wl.arrival.kind = ArrivalKind::Mmpp;
-    wl.numRequests = 400;
-    wl.seed = 42;
+    SweepCell cell;
+    cell.workload.kind = WorkloadKind::MultiAttNN;
+    cell.workload.arrivalRate = 110.0;
+    cell.workload.arrival.kind = ArrivalKind::Mmpp;
+    cell.workload.numRequests = 400;
+    cell.workload.seed = 42;
+    cell.clusterMode = true;
+    cell.cluster.numNodes = 4;
+    cell.cluster.nodeScheduler = "FCFS";
 
     auto violations = [&](const std::string& disp) {
-        ClusterRunConfig cluster;
-        cluster.numNodes = 4;
-        cluster.dispatcher = disp;
-        cluster.nodeScheduler = "FCFS";
-        return runCluster(ctx(), wl, cluster).metrics.violationRate;
+        cell.cluster.dispatcher = disp;
+        return runSweepCell(ctx(), cell).metrics.violationRate;
     };
 
     EXPECT_LE(violations("least-backlog"), violations("round-robin"));

@@ -1,10 +1,11 @@
 /**
  * @file
  * Tests for the unified simulation core: event-calendar ordering,
- * the regression that SchedulerEngine and a 1-node ClusterEngine
- * report identical schedules AND identical preemption/decision
- * counts for every policy (the counting rules are defined once, in
- * SimNode), and the new Metrics percentile fields.
+ * the regression that SchedulerEngine, a 1-node ClusterEngine and a
+ * single-accelerator sweep cell report identical schedules AND
+ * identical preemption/decision counts for every policy (the
+ * counting rules are defined once, in SimNode), and the new Metrics
+ * percentile fields.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,8 @@
 #include <vector>
 
 #include "core/dysta.hh"
+#include "exp/experiments.hh"
+#include "exp/sweep.hh"
 #include "sched/engine.hh"
 #include "sched/fcfs.hh"
 #include "sched/oracle.hh"
@@ -25,6 +28,7 @@
 #include "sim/event_queue.hh"
 #include "test_helpers.hh"
 #include "util/rng.hh"
+#include "workload/source.hh"
 
 using namespace dysta;
 using dysta::test::World;
@@ -100,6 +104,18 @@ countingWorld(Rng& rng)
     return w;
 }
 
+/** Small shared Phase-1 context (profiled once per process). */
+const BenchContext&
+smallCtx()
+{
+    static std::unique_ptr<BenchContext> ctx = [] {
+        BenchSetup setup;
+        setup.samplesPerModel = 20;
+        return makeBenchContext(setup);
+    }();
+    return *ctx;
+}
+
 std::unique_ptr<Scheduler>
 policyByName(const std::string& name, const World& w)
 {
@@ -163,6 +179,77 @@ TEST(UnifiedCounting, EngineAndOneNodeClusterReportIdentically)
                 EXPECT_DOUBLE_EQ(engine_reqs[i].finishTime,
                                  cluster_reqs[i].finishTime)
                     << name << " seed " << seed << " req " << i;
+            }
+        }
+    }
+
+    // The sweep-cell path (runSweepCell, which every sweep runs
+    // through) is the third side: every registered scheduler, block
+    // sizes 1 and 2, materialized and streaming, on a generated
+    // workload over a small profiled context.
+    const BenchContext& ctx = smallCtx();
+    for (const std::string& name : allSchedulers()) {
+        for (size_t block : {size_t{1}, size_t{2}}) {
+            for (bool streaming : {false, true}) {
+                SweepCell cell;
+                cell.workload.arrivalRate = 60.0;
+                cell.workload.numRequests = 40;
+                cell.scheduler = name;
+                cell.layerBlockSize = block;
+                cell.streaming = streaming;
+                SweepCellResult sr = runSweepCell(ctx, cell);
+
+                EngineConfig ecfg;
+                ecfg.layerBlockSize = block;
+                SchedulerEngine engine(ecfg);
+                auto policy =
+                    makeSchedulerByName(name, ctx, cell.workload.kind);
+
+                NodeProfile profile = referenceNodeProfile("n0");
+                profile.layerBlockSize = block;
+                ClusterEngine cluster(clusterFromProfiles({profile}));
+                RoundRobinDispatcher rr;
+                PolicyFactory factory = [&](const NodeProfile&, int) {
+                    return makeSchedulerByName(name, ctx,
+                                               cell.workload.kind);
+                };
+
+                EngineResult er;
+                ClusterResult cr;
+                if (streaming) {
+                    WorkloadArrivalSource engine_src(cell.workload,
+                                                     ctx.registry);
+                    WorkloadArrivalSource cluster_src(cell.workload,
+                                                      ctx.registry);
+                    er = engine.run(engine_src, *policy);
+                    cr = cluster.run(cluster_src, rr, factory);
+                } else {
+                    std::vector<Request> engine_reqs =
+                        generateWorkload(cell.workload, ctx.registry);
+                    std::vector<Request> cluster_reqs = engine_reqs;
+                    er = engine.run(engine_reqs, *policy);
+                    cr = cluster.run(cluster_reqs, rr, factory);
+                }
+
+                std::string what = name + " block " +
+                                   std::to_string(block) +
+                                   (streaming ? " streaming"
+                                              : " materialized");
+                EXPECT_GT(sr.metrics.completed, 0u) << what;
+                EXPECT_TRUE(sameMetrics(er.metrics, sr.metrics))
+                    << what;
+                EXPECT_TRUE(sameMetrics(cr.metrics, sr.metrics))
+                    << what;
+                EXPECT_EQ(er.decisions, sr.decisions) << what;
+                EXPECT_EQ(cr.decisions, sr.decisions) << what;
+                EXPECT_EQ(er.preemptions, sr.preemptions) << what;
+                EXPECT_EQ(cr.preemptions, sr.preemptions) << what;
+                EXPECT_EQ(er.eventsProcessed, sr.eventsProcessed)
+                    << what;
+                EXPECT_EQ(cr.eventsProcessed, sr.eventsProcessed)
+                    << what;
+                EXPECT_EQ(cr.perNodeCompleted, sr.perNodeCompleted)
+                    << what;
             }
         }
     }

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "exp/experiments.hh"
+#include "exp/sweep.hh"
 #include "sched/engine.hh"
 #include "sched/metrics.hh"
 #include "serve/cluster_engine.hh"
@@ -189,30 +190,29 @@ TEST(Streaming, ClusterBitIdenticalAcrossCalendarsAndModes)
     // on a cluster with admission shedding and a mid-run failure plus
     // recovery (restarted requests migrate through the dispatcher),
     // must produce one single schedule.
-    WorkloadConfig wl;
-    wl.kind = WorkloadKind::MultiAttNN;
-    wl.arrivalRate = 60.0;
-    wl.numRequests = 250;
+    SweepCell base;
+    base.workload.kind = WorkloadKind::MultiAttNN;
+    base.workload.arrivalRate = 60.0;
+    base.workload.numRequests = 250;
+    base.clusterMode = true;
+    base.cluster.numNodes = 3;
+    base.cluster.dispatcher = "least-backlog";
+    base.cluster.nodeScheduler = "Dysta";
+    base.cluster.admission.enabled = true;
+    base.cluster.admission.margin = 1.2;
+    base.cluster.nodeEvents = {{1.0, 1, NodeEventKind::Fail},
+                               {3.0, 1, NodeEventKind::Recover}};
 
-    ClusterRunConfig base;
-    base.numNodes = 3;
-    base.dispatcher = "least-backlog";
-    base.nodeScheduler = "Dysta";
-    base.admission.enabled = true;
-    base.admission.margin = 1.2;
-    base.nodeEvents = {{1.0, 1, NodeEventKind::Fail},
-                       {3.0, 1, NodeEventKind::Recover}};
-
-    ClusterResult reference = runCluster(ctx(), wl, base);
+    SweepCellResult reference = runSweepCell(ctx(), base);
     EXPECT_GT(reference.metrics.completed, 0u);
 
     for (bool streaming : {false, true}) {
         for (CalendarKind calendar :
              {CalendarKind::Heap, CalendarKind::Bucket}) {
-            ClusterRunConfig cfg = base;
-            cfg.streaming = streaming;
-            cfg.calendar = calendar;
-            ClusterResult run = runCluster(ctx(), wl, cfg);
+            SweepCell cell = base;
+            cell.streaming = streaming;
+            cell.calendar = calendar;
+            SweepCellResult run = runSweepCell(ctx(), cell);
             std::string what =
                 std::string(streaming ? "streaming" : "materialized") +
                 " + " + toString(calendar);
